@@ -30,8 +30,7 @@ def _emit_family_set(fs: FamilySet, out: str | None) -> None:
         familyfile.save_family_set(fs, out)
         print(f"wrote {out}")
     else:
-        json.dump(familyfile.family_set_to_dict(fs), sys.stdout)
-        print()
+        print(json.dumps(familyfile.family_set_to_dict(fs)))
 
 
 def _emit_matrix(mat: np.ndarray, out: str | None) -> None:
@@ -39,9 +38,8 @@ def _emit_matrix(mat: np.ndarray, out: str | None) -> None:
         familyfile.save_matrix(mat, out)
         print(f"wrote {out}")
     else:
-        json.dump({"format_version": familyfile.FORMAT_VERSION,
-                   "matrix": familyfile.matrix_to_list(mat)}, sys.stdout)
-        print()
+        print(json.dumps({"format_version": familyfile.FORMAT_VERSION,
+                          "matrix": familyfile.matrix_to_list(mat)}))
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

@@ -32,7 +32,9 @@ FORMAT_VERSION = "museb-1"
 
 
 def matrix_to_list(mat: np.ndarray) -> list[list[list[float]]]:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat, complex)]
+    # shape-agnostic: a (n, d, d') stack becomes a list of n matrices
+    arr = np.asarray(mat, complex)
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
 def matrix_from_list(data: Any) -> np.ndarray:
@@ -47,7 +49,7 @@ def matrix_from_list(data: Any) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def family_set_to_dict(fs: FamilySet) -> dict[str, Any]:
+def _header(fs: FamilySet) -> dict[str, Any]:
     if len(fs) == 0:
         raise FileFormatError("refusing to serialize an empty family set")
     return {
@@ -56,8 +58,11 @@ def family_set_to_dict(fs: FamilySet) -> dict[str, Any]:
         "dprime": fs.dprime,
         "k": fs.k,
         "labels": [fam.label for fam in fs],
-        "bases": [[matrix_to_list(fam[i]) for i in range(len(fam))] for fam in fs],
     }
+
+
+def family_set_to_dict(fs: FamilySet) -> dict[str, Any]:
+    return {**_header(fs), "bases": [matrix_to_list(fam.elements) for fam in fs]}
 
 
 def family_set_from_dict(doc: Any) -> FamilySet:
@@ -96,9 +101,19 @@ def family_set_from_dict(doc: Any) -> FamilySet:
 
 
 def save_family_set(fs: FamilySet, path: str | os.PathLike) -> None:
+    """Write the bytes of json.dumps(family_set_to_dict(fs)) plus a newline.
+
+    json.dumps runs the C encoder (json.dump streams through the Python
+    one); calling it once per basis keeps only one basis as Python floats.
+    """
+    head = json.dumps(_header(fs))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(family_set_to_dict(fs), fh)
-        fh.write("\n")
+        fh.write(head[:-1] + ', "bases": [')
+        for i, fam in enumerate(fs):
+            if i:
+                fh.write(", ")
+            fh.write(json.dumps(matrix_to_list(fam.elements)))
+        fh.write("]}\n")
 
 
 def load_family_set(path: str | os.PathLike) -> FamilySet:
@@ -113,7 +128,7 @@ def load_family_set(path: str | os.PathLike) -> FamilySet:
 def save_matrix(mat: np.ndarray, path: str | os.PathLike) -> None:
     doc = {"format_version": FORMAT_VERSION, "matrix": matrix_to_list(mat)}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
         fh.write("\n")
 
 

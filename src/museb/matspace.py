@@ -26,6 +26,7 @@ __all__ = [
     "hs_inner",
     "kron",
     "singular_values",
+    "stacked_singular_values",
     "state_to_matrix",
     "matrix_to_state",
     "is_unitary",
@@ -88,9 +89,13 @@ def kron(a: Any, b: Any) -> np.ndarray:
 
 def singular_values(a: Any) -> np.ndarray:
     """Singular values of a matrix in descending order."""
-    am = as_matrix(a)
+    return stacked_singular_values(as_matrix(a))
+
+
+def stacked_singular_values(stack: np.ndarray) -> np.ndarray:
+    """Singular values of every matrix in a (..., m, n) stack, each row descending."""
     try:
-        return np.linalg.svd(am, compute_uv=False)
+        return np.linalg.svd(stack, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
 

@@ -11,6 +11,7 @@ found and never claims existence, only what the descent reached.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from scipy.linalg import expm, polar
 from .construct import ThetaParams, c23_family, catalog, solve_theta, theta_mixing_matrix
 from .errors import NotAdmissible
 from .matspace import as_matrix
+from .verify import BasisFamily, _overlap_gram
 
 __all__ = [
     "SearchConfig",
@@ -78,6 +80,12 @@ class ClosureSweep:
     failures: int
 
 
+@functools.cache
+def _default_targets() -> tuple[BasisFamily, BasisFamily]:
+    # the frozen partners, built from their kets once; their arrays are read-only
+    return catalog("eq16"), catalog("eq17")
+
+
 def unbiasedness_penalty(w, targets=None) -> float:
     """Sum of squared overlap-magnitude errors of the basis mixed by w.
 
@@ -87,11 +95,11 @@ def unbiasedness_penalty(w, targets=None) -> float:
     """
     fam = c23_family(as_matrix(w))
     if targets is None:
-        targets = (catalog("eq16"), catalog("eq17"))
+        targets = _default_targets()
     goal = 1.0 / np.sqrt(6.0)
     pen = 0.0
     for t in targets:
-        mags = np.abs(np.einsum("aij,bij->ab", fam.elements.conj(), t.elements))
+        mags = np.abs(_overlap_gram(fam.elements, t.elements))
         pen += float(np.sum((mags - goal) ** 2))
     return pen
 
@@ -168,7 +176,7 @@ def third_basis_search(cfg: SearchConfig | None = None) -> SearchOutcome:
     returned candidate.
     """
     cfg = cfg or SearchConfig()
-    targets = (catalog("eq16"), catalog("eq17"))
+    targets = _default_targets()
     best: np.ndarray | None = None
     best_cost = np.inf
     total = 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyInput, ShapeMismatch
-from .matspace import as_matrix, singular_values
+from .matspace import as_matrix, singular_values, stacked_singular_values
 
 __all__ = [
     "MAX_OFFENDERS",
@@ -152,8 +152,13 @@ class FamilySet:
 
 
 def _overlap_gram(e: np.ndarray, f: np.ndarray) -> np.ndarray:
-    # all pairwise Hilbert-Schmidt inner products in one pass
-    return np.einsum("aij,bij->ab", e.conj(), f)
+    """All Hilbert-Schmidt inner products Tr(e[a]^dagger f[b]) as one ZGEMM.
+
+    Each stack of matrices is flattened to one row per element, so the Gram
+    is a single BLAS matrix product costing 8 n m d d' real flops.
+    """
+    n, m = e.shape[0], f.shape[0]
+    return e.reshape(n, -1).conj() @ f.reshape(m, -1).T
 
 
 def schmidt_number(a, cfg: VerifyConfig | None = None) -> int:
@@ -175,7 +180,7 @@ def check_sebk(family: BasisFamily, cfg: VerifyConfig | None = None) -> Verifica
     n = el.shape[0]
     small = min(family.d, family.dprime)
 
-    sv = np.linalg.svd(el, compute_uv=False)
+    sv = stacked_singular_values(el)
     target = np.zeros(small)
     target[: family.k] = 1.0 / np.sqrt(family.k)
     sv_dev = np.abs(sv - target)

@@ -1,11 +1,14 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from museb import (
+    BasisFamily,
     FamilySet,
     FileFormatError,
+    RecipeSpec,
     catalog,
     family_set_from_dict,
     family_set_to_dict,
@@ -13,9 +16,11 @@ from museb import (
     load_matrix,
     mub_prime,
     mumeb_qubit,
+    run_recipe,
     save_family_set,
     save_matrix,
 )
+from museb.familyfile import matrix_to_list
 
 
 def r_set():
@@ -107,3 +112,35 @@ def test_matrix_rejects_malformed(tmp_path):
     path.write_text(json.dumps([[1.0, 2.0]]))
     with pytest.raises(FileFormatError):
         load_matrix(path)
+
+
+# sha256 of the files the original per-entry writer produced; any writer
+# change must keep the bytes, -0.0 and float reprs included
+@pytest.mark.parametrize("fs_builder, digest", [
+    (lambda: mub_prime(5), "9e2bad8b37071e200bc77337beb0876906214aadfb977b47ae7a50f19ec4cee0"),
+    (lambda: run_recipe(RecipeSpec("example3")),
+     "ae19ec94e65063739ec9994d6bf82d53ce31af5aa5419b412ba0c9ca04c129fc"),
+])
+def test_saved_bytes_are_pinned(tmp_path, fs_builder, digest):
+    path = tmp_path / "set.json"
+    save_family_set(fs_builder(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_matrix_to_list_matches_per_entry_conversion():
+    mat = np.array([[complex(-0.0, 0.5), complex(-0.0, 1e-300)],
+                    [complex(np.pi, -0.0), complex(-1.0, -2.5e-17)]])
+    per_entry = [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+    # compared as JSON text so that -0.0 and 0.0 count as different
+    assert json.dumps(matrix_to_list(mat)) == json.dumps(per_entry)
+    assert json.dumps(matrix_to_list(mat[None])) == json.dumps([per_entry])
+
+
+def test_saved_text_is_the_one_shot_encoding(tmp_path):
+    fams = [BasisFamily(f.d, f.dprime, f.k, f.elements, label)
+            for f, label in zip(mub_prime(3), ['psi "0"', "ψ\\1", "", "x, y"])]
+    fs = FamilySet(tuple(fams))
+    path = tmp_path / "set.json"
+    save_family_set(fs, path)
+    assert path.read_text(encoding="utf-8") == json.dumps(family_set_to_dict(fs)) + "\n"
+    assert [f.label for f in load_family_set(path)] == [f.label for f in fs]

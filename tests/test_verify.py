@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from museb import (
+    CATALOG_NAMES,
     MAX_OFFENDERS,
+    RECIPE_NAMES,
     BasisFamily,
     FamilySet,
+    NumericalFailure,
+    RecipeSpec,
     ShapeMismatch,
     VerifyConfig,
     catalog,
@@ -12,9 +18,19 @@ from museb import (
     check_museb_set,
     check_sebk,
     mub_prime,
+    run_recipe,
     schmidt_number,
+    tensor_families,
     weyl_meb,
 )
+from museb import verify
+
+EPS = np.finfo(float).eps
+
+
+def einsum_gram(e, f):
+    # independent oracle for the overlap kernel: an einsum, not a matmul
+    return np.einsum("aij,bij->ab", e.conj(), f)
 
 
 def brute_overlaps(f, g):
@@ -172,3 +188,125 @@ def test_failed_pair_reports_offending_indices():
     rep = check_mu_pair(catalog("R1"), BasisFamily(2, 3, 2, el))
     assert not rep.passed
     assert any(i == 0 and j == 4 for _, _, i, j, _ in rep.offenders)
+
+
+def test_check_sebk_types_svd_failure(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(NumericalFailure):
+        check_sebk(catalog("R1"))
+    with pytest.raises(NumericalFailure):
+        schmidt_number(np.eye(2))
+
+
+def random_stack(rng, n, d, dprime):
+    return rng.standard_normal((n, d, dprime)) + 1j * rng.standard_normal((n, d, dprime))
+
+
+def rounding_bound(e, f):
+    # inner products of length L agree to about L eps times the norm product
+    # (Higham's gamma_L bound); the factor 2 covers the two evaluation orders
+    length = e[0].size
+    norms = np.outer(np.linalg.norm(e.reshape(len(e), -1), axis=1),
+                     np.linalg.norm(f.reshape(len(f), -1), axis=1))
+    return 2 * (length + 2) * EPS * norms
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), m=st.integers(1, 7),
+       d=st.integers(1, 6), dprime=st.integers(1, 6))
+def test_overlap_kernel_matches_vdot_loop(seed, n, m, d, dprime):
+    rng = np.random.default_rng(seed)
+    e = random_stack(rng, n, d, dprime)
+    f = random_stack(rng, m, d, dprime)
+    brute = np.array([[np.vdot(e[a].ravel(), f[b].ravel()) for b in range(m)]
+                      for a in range(n)])
+    gram = verify._overlap_gram(e, f)
+    assert gram.shape == (n, m)
+    assert np.all(np.abs(gram - brute) <= rounding_bound(e, f))
+
+
+def random_family_set(rng, d, dprime, count):
+    return FamilySet(tuple(
+        BasisFamily(d, dprime, 1, random_stack(rng, d * dprime, d, dprime))
+        for _ in range(count)
+    ))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), dprime=st.integers(1, 3),
+       p=st.integers(1, 3), q=st.integers(1, 3))
+def test_product_gram_is_kron_of_factor_grams(seed, d, dprime, p, q):
+    rng = np.random.default_rng(seed)
+    s = random_family_set(rng, d, dprime, 2)
+    t = random_family_set(rng, p, q, 2)
+    prod = tensor_families(s, t)
+    gram = verify._overlap_gram(prod[0].elements, prod[1].elements)
+    expected = np.kron(verify._overlap_gram(s[0].elements, s[1].elements),
+                       verify._overlap_gram(t[0].elements, t[1].elements))
+    bound = 2 * rounding_bound(prod[0].elements, prod[1].elements)
+    assert np.all(np.abs(gram - expected) <= bound)
+
+
+def catalog_sets():
+    fams = {n: catalog(n) for n in CATALOG_NAMES}
+    sets = {n: FamilySet((f,)) for n, f in fams.items() if isinstance(f, BasisFamily)}
+    for names in (("R1", "R2"), ("eq16", "eq17"), ("R1", "eq17", "R2", "eq16"),
+                  ("S1", "S2", "S3"), ("T1", "T2", "T3")):
+        sets[",".join(names)] = FamilySet(tuple(fams[n] for n in names))
+    return sets
+
+
+RECIPE_CASES = [
+    ("theorem3", {"d": 2, "dprime": 2, "p": 3, "q": 3}),
+    ("theorem3", {"d": 2, "dprime": 3, "p": 2, "q": 3}),
+    ("corollary1_right", {"d": 2, "dprime": 3, "q": 4}),
+    ("corollary1_left", {"d": 2, "dprime": 3, "p": 3}),
+    ("example1", {}),
+    ("example3", {}),
+    ("cor21k_mumeb", {"d": 2, "q": 3}),
+    ("cor21k_seb2", {"k": 5}),
+    ("m69", {}),
+]
+
+
+def test_recipe_cases_cover_every_recipe():
+    assert {name for name, _ in RECIPE_CASES} == set(RECIPE_NAMES)
+
+
+def scaled(fs, fi, ei, factor):
+    fam = fs[fi]
+    el = fam.elements.copy()
+    el[ei] *= factor
+    bad = BasisFamily(fam.d, fam.dprime, fam.k, el, fam.label)
+    return FamilySet(fs.families[:fi] + (bad,) + fs.families[fi + 1:])
+
+
+REGRESSION_SETS = {
+    **{name: (lambda name=name: catalog_sets()[name]) for name in catalog_sets()},
+    **{f"{n}{sorted(p.items())}": (lambda n=n, p=p: run_recipe(RecipeSpec(n, p)))
+       for n, p in RECIPE_CASES},
+    "mub_prime(53)": lambda: mub_prime(53),
+}
+
+
+@pytest.mark.parametrize("variant", ["as_built", "scaled_1e-3", "scaled_5e-9"])
+@pytest.mark.parametrize("name", list(REGRESSION_SETS))
+def test_kernel_reproduces_einsum_reports(monkeypatch, name, variant):
+    fs = REGRESSION_SETS[name]()
+    # the failing variants make the offender lists non-empty; their factors
+    # put every deviation well clear of the 1e-9 tolerance
+    if variant == "scaled_1e-3":
+        fs = scaled(fs, len(fs) - 1, len(fs[-1]) // 2, 1.001)
+    elif variant == "scaled_5e-9":
+        fs = scaled(fs, 0, 0, 1 + 5e-9)
+    got = check_museb_set(fs)
+    monkeypatch.setattr(verify, "_overlap_gram", einsum_gram)
+    want = check_museb_set(fs)
+    assert got.passed == want.passed
+    assert got.checks_run == want.checks_run
+    assert [o[:4] for o in got.offenders] == [o[:4] for o in want.offenders]
+    bound = fs.d * fs.dprime * 2.0**-52
+    assert abs(got.worst_violation - want.worst_violation) <= bound
