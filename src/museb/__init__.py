@@ -1,155 +1,29 @@
 """Mutually unbiased entangled bases: construction, composition, certification.
 
 States of C^d (x) C^d' are handled in matrix form throughout; see the
-matspace module for the identification and README.md for a tour.
+matspace module for the identification and README.md for a tour.  The
+public names are exactly those in the submodules' __all__ lists.
 """
 
-from .compose import RECIPE_NAMES, RecipeSpec, run_recipe, tensor_families, transpose_family
-from .construct import (
-    CATALOG_NAMES,
-    IntFactorization,
-    ThetaParams,
-    c23_family,
-    c23_partner,
-    catalog,
-    factorize,
-    is_prime,
-    mub_composite,
-    mub_prime,
-    mumeb_qubit,
-    solve_theta,
-    theta_mixing_matrix,
-    weyl_meb,
-)
-from .errors import (
-    DimensionOrder,
-    EmptyInput,
-    FileFormatError,
-    MusebError,
-    NotAdmissible,
-    NotCHM,
-    NotPrime,
-    NumericalFailure,
-    ShapeMismatch,
-    UnknownName,
-    UnsupportedParameters,
-    VerificationFailed,
-)
-from .familyfile import (
-    FORMAT_VERSION,
-    family_set_from_dict,
-    family_set_to_dict,
-    load_family_set,
-    load_matrix,
-    save_family_set,
-    save_matrix,
-)
-from .matspace import (
-    StateVector,
-    hs_inner,
-    is_unitary,
-    kron,
-    matrix_to_state,
-    singular_values,
-    state_to_matrix,
-)
-from .search import (
-    ClosureFinding,
-    ClosureSweep,
-    SearchConfig,
-    SearchOutcome,
-    closure_failure_probe,
-    closure_sweep,
-    third_basis_search,
-    unbiasedness_penalty,
-)
-from .trio import (
-    ObstructionFinding,
-    dephased_obstruction,
-    has_real_2x3,
-    is_chm,
-    theorem2_reproduce,
-)
-from .verify import (
-    MAX_OFFENDERS,
-    BasisFamily,
-    FamilySet,
-    VerificationReport,
-    VerifyConfig,
-    check_mu_pair,
-    check_museb_set,
-    check_sebk,
-    schmidt_number,
-)
+from . import compose, construct, errors, familyfile, matspace, search, trio, verify
+from .compose import *  # noqa: F401,F403
+from .construct import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .familyfile import *  # noqa: F401,F403
+from .matspace import *  # noqa: F401,F403
+from .search import *  # noqa: F401,F403
+from .trio import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisFamily",
-    "CATALOG_NAMES",
-    "ClosureFinding",
-    "ClosureSweep",
-    "DimensionOrder",
-    "EmptyInput",
-    "FORMAT_VERSION",
-    "FamilySet",
-    "FileFormatError",
-    "IntFactorization",
-    "MAX_OFFENDERS",
-    "MusebError",
-    "NotAdmissible",
-    "NotCHM",
-    "NotPrime",
-    "NumericalFailure",
-    "ObstructionFinding",
-    "RECIPE_NAMES",
-    "RecipeSpec",
-    "SearchConfig",
-    "SearchOutcome",
-    "ShapeMismatch",
-    "StateVector",
-    "ThetaParams",
-    "UnknownName",
-    "UnsupportedParameters",
-    "VerificationFailed",
-    "VerificationReport",
-    "VerifyConfig",
-    "c23_family",
-    "c23_partner",
-    "catalog",
-    "check_mu_pair",
-    "check_museb_set",
-    "check_sebk",
-    "closure_failure_probe",
-    "closure_sweep",
-    "dephased_obstruction",
-    "factorize",
-    "family_set_from_dict",
-    "family_set_to_dict",
-    "has_real_2x3",
-    "hs_inner",
-    "is_chm",
-    "is_prime",
-    "is_unitary",
-    "kron",
-    "load_family_set",
-    "load_matrix",
-    "matrix_to_state",
-    "mub_composite",
-    "mub_prime",
-    "mumeb_qubit",
-    "run_recipe",
-    "save_family_set",
-    "save_matrix",
-    "schmidt_number",
-    "singular_values",
-    "solve_theta",
-    "state_to_matrix",
-    "tensor_families",
-    "theorem2_reproduce",
-    "theta_mixing_matrix",
-    "third_basis_search",
-    "transpose_family",
-    "unbiasedness_penalty",
-    "weyl_meb",
+    *compose.__all__,
+    *construct.__all__,
+    *errors.__all__,
+    *familyfile.__all__,
+    *matspace.__all__,
+    *search.__all__,
+    *trio.__all__,
+    *verify.__all__,
 ]

@@ -38,8 +38,7 @@ def _emit_matrix(mat: np.ndarray, out: str | None) -> None:
         familyfile.save_matrix(mat, out)
         print(f"wrote {out}")
     else:
-        print(json.dumps({"format_version": familyfile.FORMAT_VERSION,
-                          "matrix": familyfile.matrix_to_list(mat)}))
+        print(familyfile.dumps_matrix(mat))
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -125,10 +124,6 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_operator(path: str) -> np.ndarray:
-    return familyfile.load_matrix(path)
-
-
 def _cmd_trio(args: argparse.Namespace) -> int:
     cfg = VerifyConfig(tol_abs=args.tol, tol_overlap=args.tol)
     if args.builtin:
@@ -136,10 +131,10 @@ def _cmd_trio(args: argparse.Namespace) -> int:
             raise ValueError("--builtin takes no input files")
         w = construct.catalog("U").conj().T @ construct.catalog("V")
     elif len(args.paths) == 1:
-        w = _load_operator(args.paths[0])
+        w = familyfile.load_matrix(args.paths[0])
     elif len(args.paths) == 2:
-        u = _load_operator(args.paths[0])
-        v = _load_operator(args.paths[1])
+        u = familyfile.load_matrix(args.paths[0])
+        v = familyfile.load_matrix(args.paths[1])
         for name, mat in (("first", u), ("second", v)):
             if not is_unitary(mat, cfg):
                 raise MusebError(f"{name} input matrix is not unitary")
@@ -160,6 +155,8 @@ def _cmd_trio(args: argparse.Namespace) -> int:
         print(f"row_pair: {finding.row_pair[0]},{finding.row_pair[1]}")
         print("columns: " + ",".join(str(c) for c in finding.columns))
         print("phases: " + ",".join(f"{p.real:+.12f}{p.imag:+.12f}j" for p in finding.phases))
+        rp = finding.row_phase
+        print(f"row_phase: {rp.real:+.12f}{rp.imag:+.12f}j")
         return 0
     return 1
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construct import catalog, factorize, is_prime, mub_composite, mub_prime, mumeb_qubit
+from .construct import catalog, factorize, mub_composite, mumeb_qubit
 from .errors import EmptyInput, UnsupportedParameters, VerificationFailed
 from .verify import BasisFamily, FamilySet, VerifyConfig, check_museb_set
 
@@ -98,8 +98,6 @@ def _trivial_set(count: int) -> FamilySet:
 def _mub_set(q: int) -> FamilySet:
     if q == 1:
         return _trivial_set(3)
-    if is_prime(q):
-        return mub_prime(q)
     return mub_composite(q)
 
 
@@ -112,7 +110,7 @@ def _mumeb_square(d: int) -> FamilySet:
     if d == 3:
         return FamilySet((catalog("S1"), catalog("S2"), catalog("S3")))
     fact = factorize(d)
-    unsupported = [p for p, _ in fact.factors if p not in (2, 3)]
+    unsupported = [p for p, _ in fact if p not in (2, 3)]
     if unsupported:
         raise UnsupportedParameters(
             f"no built-in maximally entangled basis set for C^{d} (x) C^{d}: "
@@ -120,7 +118,7 @@ def _mumeb_square(d: int) -> FamilySet:
             "odd-prime-power construction, which this package does not build"
         )
     out: FamilySet | None = None
-    for p, a in fact.factors:
+    for p, a in fact:
         base = _mumeb_square(p)
         for _ in range(a):
             out = base if out is None else tensor_families(out, base)

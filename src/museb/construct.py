@@ -22,12 +22,11 @@ from .errors import (
     NotPrime,
     UnknownName,
 )
-from .matspace import StateVector, as_matrix, state_to_matrix
+from .matspace import as_matrix
 from .verify import BasisFamily, FamilySet
 
 __all__ = [
     "ThetaParams",
-    "IntFactorization",
     "CATALOG_NAMES",
     "solve_theta",
     "theta_mixing_matrix",
@@ -81,14 +80,6 @@ def solve_theta(theta1: float, theta2: float) -> float:
     return float((_ADMISSIBLE_RESIDUE + 2.0 * theta1 - theta2) % (2.0 * np.pi))
 
 
-@dataclass(frozen=True)
-class IntFactorization:
-    """Prime factorization n = prod(p ** a), factors sorted by prime."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -100,7 +91,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int) -> IntFactorization:
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization n = prod(p ** a) as (p, a) pairs sorted by prime."""
     if n < 2:
         raise ValueError(f"factorization needs n >= 2, got {n}")
     m = n
@@ -116,7 +108,7 @@ def factorize(n: int) -> IntFactorization:
         p += 1
     if m > 1:
         factors.append((m, 1))
-    return IntFactorization(n=n, factors=tuple(factors))
+    return tuple(factors)
 
 
 def weyl_meb(d: int, dprime: int) -> BasisFamily:
@@ -132,14 +124,17 @@ def weyl_meb(d: int, dprime: int) -> BasisFamily:
     if d > dprime:
         raise DimensionOrder(f"construction needs d <= d', got d={d}, d'={dprime}")
     omega = np.exp(2j * np.pi / d)
-    out = np.zeros((d * dprime, d, dprime), dtype=complex)
-    for m in range(dprime):
-        for n in range(d):
-            mat = np.zeros((d, dprime), dtype=complex)
-            for p in range(d):
-                mat[p, (p + m) % dprime] = omega ** (n * p) / np.sqrt(d)
-            out[m * d + n] = mat
-    return BasisFamily(d=d, dprime=dprime, k=d, elements=out, label=f"weyl({d},{dprime})")
+    m, n, p = np.ogrid[:dprime, :d, :d]
+    out = np.zeros((dprime, d, d, dprime), dtype=complex)
+    out[m, n, p, (p + m) % dprime] = omega ** (n * p) / np.sqrt(d)
+    return BasisFamily(
+        d=d, dprime=dprime, k=d, elements=out.reshape(d * dprime, d, dprime),
+        label=f"weyl({d},{dprime})",
+    )
+
+
+# the (2, 3) Weyl stack that c23_family mixes; built once, read-only
+_W23 = weyl_meb(2, 3).elements
 
 
 def theta_mixing_matrix(theta: ThetaParams) -> np.ndarray:
@@ -160,22 +155,14 @@ def theta_mixing_matrix(theta: ThetaParams) -> np.ndarray:
 def c23_family(mixer, label: str = "") -> BasisFamily:
     """Basis of C^2 (x) C^3 whose left factor is mixed by a 2x2 matrix.
 
-    Element (m, n) at flat index m*2 + n has entries
-    M[r, (p + m) mod 3] += (-1)^(n p) * mixer[p, r] / sqrt(2).
-    The result is orthonormal exactly when the mixer is unitary.
+    Element i is mixer.T @ weyl_meb(2, 3)[i], so the identity mixer gives
+    the Weyl basis itself.  The result is orthonormal exactly when the
+    mixer is unitary.
     """
     a = as_matrix(mixer)
     if a.shape != (2, 2):
         raise ValueError(f"mixer must be 2x2, got {a.shape}")
-    out = np.zeros((6, 2, 3), dtype=complex)
-    for m in range(3):
-        for n in range(2):
-            mat = np.zeros((2, 3), dtype=complex)
-            for p in range(2):
-                for r in range(2):
-                    mat[r, (p + m) % 3] += (-1) ** (n * p) * a[p, r] / _S2
-            out[m * 2 + n] = mat
-    return BasisFamily(d=2, dprime=3, k=2, elements=out, label=label)
+    return BasisFamily(d=2, dprime=3, k=2, elements=a.T @ _W23, label=label)
 
 
 def c23_partner(theta: ThetaParams, tol: float = 1e-9) -> tuple[BasisFamily, BasisFamily]:
@@ -217,13 +204,10 @@ def mub_prime(p: int) -> FamilySet:
     if p == 2:
         return FamilySet((catalog("T1"), catalog("T2"), catalog("T3")))
     omega = np.exp(2j * np.pi / p)
+    b, j, s = np.ogrid[:p, :p, :p]
+    quads = omega ** ((b * s * s + j * s) % p) / np.sqrt(p)
     families = [_vectors_as_rows(np.eye(p, dtype=complex), label=f"mub{p}.standard")]
-    s = np.arange(p)
-    for b in range(p):
-        vecs = np.empty((p, p), dtype=complex)
-        for j in range(p):
-            vecs[j] = omega ** ((b * s * s + j * s) % p) / np.sqrt(p)
-        families.append(_vectors_as_rows(vecs, label=f"mub{p}.quad{b}"))
+    families += [_vectors_as_rows(v, label=f"mub{p}.quad{i}") for i, v in enumerate(quads)]
     return FamilySet(tuple(families))
 
 
@@ -236,9 +220,9 @@ def mub_composite(q: int) -> FamilySet:
     best known count for prime powers but unbiased by the product rule.
     """
     fact = factorize(q)
-    if len(fact.factors) == 1 and fact.factors[0][1] == 1:
-        return mub_prime(fact.factors[0][0])
-    parts = sorted(fact.factors, key=lambda pa: pa[0] ** pa[1])
+    if len(fact) == 1 and fact[0][1] == 1:
+        return mub_prime(fact[0][0])
+    parts = sorted(fact, key=lambda pa: pa[0] ** pa[1])
     count = min(p + 1 for p, _ in parts)
     # column j of a p x p basis matrix is vector j of that basis
     basis_mats: list[list[np.ndarray]] = []
@@ -375,11 +359,9 @@ _EQ17_KETS = [
 
 
 def _kets_to_family(kets, scale: float, label: str) -> BasisFamily:
-    mats = [
-        state_to_matrix(StateVector(2, 3, np.asarray(amps, dtype=complex) / scale))
-        for amps in kets
-    ]
-    return BasisFamily(d=2, dprime=3, k=2, elements=np.array(mats), label=label)
+    # amplitude |p>|p'> sits at flat index 3p + p': each ket is a row-major 2x3 matrix
+    elements = np.array(kets, dtype=complex).reshape(6, 2, 3) / scale
+    return BasisFamily(d=2, dprime=3, k=2, elements=elements, label=label)
 
 
 def _u_matrix() -> np.ndarray:

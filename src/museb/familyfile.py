@@ -22,8 +22,6 @@ __all__ = [
     "family_set_from_dict",
     "save_family_set",
     "load_family_set",
-    "matrix_to_list",
-    "matrix_from_list",
     "save_matrix",
     "load_matrix",
 ]
@@ -40,7 +38,7 @@ def matrix_to_list(mat: np.ndarray) -> list[list[list[float]]]:
 def matrix_from_list(data: Any) -> np.ndarray:
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"matrix entries must be [real, imag] pairs: {exc}") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise FileFormatError(
@@ -76,21 +74,23 @@ def family_set_from_dict(doc: Any) -> FamilySet:
         dprime = int(doc["dprime"])
         k = int(doc["k"])
         bases = doc["bases"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"missing or malformed field: {exc}") from exc
     if not isinstance(bases, list) or not bases:
         raise FileFormatError("bases must be a nonempty list")
-    labels = doc.get("labels") or [""] * len(bases)
+    labels = doc.get("labels", [""] * len(bases))
+    if not (isinstance(labels, list) and all(isinstance(lb, str) for lb in labels)):
+        raise FileFormatError("labels, when present, must be a list of strings")
     if len(labels) != len(bases):
         raise FileFormatError("labels, when present, must align with bases")
     families = []
     for label, basis in zip(labels, bases):
         if not isinstance(basis, list) or not basis:
             raise FileFormatError("each basis must be a nonempty list of matrices")
-        elements = np.stack([matrix_from_list(mat) for mat in basis])
-        try:
+        mats = [matrix_from_list(mat) for mat in basis]
+        try:  # np.stack raises ValueError on matrices of different shapes
             families.append(
-                BasisFamily(d=d, dprime=dprime, k=k, elements=elements, label=str(label))
+                BasisFamily(d=d, dprime=dprime, k=k, elements=np.stack(mats), label=label)
             )
         except Exception as exc:
             raise FileFormatError(f"stored basis is inconsistent: {exc}") from exc
@@ -116,29 +116,32 @@ def save_family_set(fs: FamilySet, path: str | os.PathLike) -> None:
         fh.write("]}\n")
 
 
-def load_family_set(path: str | os.PathLike) -> FamilySet:
+def _read_json(path: str | os.PathLike) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
             raise FileFormatError(f"not valid JSON: {exc}") from exc
-    return family_set_from_dict(doc)
+
+
+def load_family_set(path: str | os.PathLike) -> FamilySet:
+    return family_set_from_dict(_read_json(path))
+
+
+def dumps_matrix(mat: np.ndarray) -> str:
+    """The museb-1 matrix document as one line of JSON text."""
+    return json.dumps({"format_version": FORMAT_VERSION, "matrix": matrix_to_list(mat)})
 
 
 def save_matrix(mat: np.ndarray, path: str | os.PathLike) -> None:
-    doc = {"format_version": FORMAT_VERSION, "matrix": matrix_to_list(mat)}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))
+        fh.write(dumps_matrix(mat))
         fh.write("\n")
 
 
 def load_matrix(path: str | os.PathLike) -> np.ndarray:
     """Read a matrix file; bare nested lists are accepted alongside the tagged form."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"not valid JSON: {exc}") from exc
+    doc = _read_json(path)
     if isinstance(doc, dict):
         if "matrix" not in doc:
             raise FileFormatError("matrix file must carry a 'matrix' field")

@@ -2,10 +2,10 @@
 
 A pair of orthonormal bases of C^n with all overlap magnitudes 1/sqrt(n)
 is, up to local change of basis, the pair (identity, W) for a complex
-Hadamard matrix W.  If W, or its transpose, can be column-dephased so
-that two rows become real in three or more common columns, then no third
-basis can join the pair.  The scan below finds such a certificate when
-one exists at the given tolerance.
+Hadamard matrix W.  If W, or its transpose, can be rephased by rows and
+columns so that two rows become real in three or more common columns,
+then no third basis can join the pair.  The scan below finds such a
+certificate when one exists at the given tolerance.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .verify import Offender, VerificationReport, VerifyConfig, check_mu_pair
 __all__ = [
     "ObstructionFinding",
     "is_chm",
-    "has_real_2x3",
     "dephased_obstruction",
     "theorem2_reproduce",
 ]
@@ -33,9 +32,10 @@ class ObstructionFinding:
     """Certificate that a matrix has (or lacks) a real 2 x 3 pattern.
 
     When obstructed, row_pair names two rows and columns lists at least
-    three column indices; multiplying column c of the inspected matrix by
-    the aligned entry of phases makes both rows real there.  on_transpose
-    records whether the pattern was found on the transpose instead.
+    three column indices; multiplying the second row of the pair by
+    row_phase, and column c of the inspected matrix by the aligned entry
+    of phases, makes both rows real there.  on_transpose records whether
+    the pattern was found on the transpose instead.
     """
 
     obstructed: bool
@@ -43,6 +43,7 @@ class ObstructionFinding:
     row_pair: tuple[int, int] | None = None
     columns: tuple[int, ...] = ()
     phases: tuple[complex, ...] = ()
+    row_phase: complex = 1.0 + 0.0j
 
 
 def is_chm(w, cfg: VerifyConfig | None = None) -> bool:
@@ -57,44 +58,28 @@ def is_chm(w, cfg: VerifyConfig | None = None) -> bool:
     return float(np.max(np.abs(np.abs(wm) - 1.0 / np.sqrt(n)))) <= cfg.tol_abs
 
 
-def has_real_2x3(w, cfg: VerifyConfig | None = None) -> ObstructionFinding:
-    """Find two rows that are simultaneously real in three or more columns."""
-    cfg = cfg or VerifyConfig()
-    wm = as_matrix(w)
-    rows, cols = wm.shape
-    if rows < 2 or cols < 3:
-        raise ShapeMismatch(f"need at least 2 rows and 3 columns, got {wm.shape}")
-    real = np.abs(wm.imag) <= cfg.tol_abs
-    for r1 in range(rows):
-        for r2 in range(r1 + 1, rows):
-            hits = np.flatnonzero(real[r1] & real[r2])
-            if hits.size >= 3:
-                return ObstructionFinding(
-                    obstructed=True,
-                    row_pair=(r1, r2),
-                    columns=tuple(int(c) for c in hits),
-                    phases=tuple(1.0 + 0.0j for _ in hits),
-                )
-    return ObstructionFinding(obstructed=False)
-
-
 def _dephasing_scan(wm: np.ndarray, tol: float):
-    # two rows admit a common dephasing to real entries in a column exactly
-    # when their phase difference there is 0 modulo pi
+    # after a row phase on r2, two rows dephase to real entries in a set of
+    # columns exactly when their phase difference is constant modulo pi
+    # there; each column in turn anchors that constant
     ang = np.angle(wm)
     rows = wm.shape[0]
     for r1 in range(rows):
         for r2 in range(r1 + 1, rows):
             delta = ang[r1] - ang[r2]
-            hits = np.flatnonzero(np.abs(np.sin(delta)) <= tol)
-            if hits.size >= 3:
+            agree = np.abs(np.sin(delta[:, None] - delta[None, :])) <= tol
+            anchors = np.flatnonzero(agree.sum(axis=1) >= 3)
+            if anchors.size:
+                hits = np.flatnonzero(agree[anchors[0]])
                 phases = np.exp(-1j * ang[r1, hits])
-                return (r1, r2), hits, phases
+                shift = delta[anchors[0]]
+                shift -= np.pi * np.round(shift / np.pi)  # modulo pi, nearest zero
+                return (r1, r2), hits, phases, np.exp(1j * shift)
     return None
 
 
 def dephased_obstruction(w, cfg: VerifyConfig | None = None) -> ObstructionFinding:
-    """Search for a real 2 x 3 pattern reachable by column dephasing.
+    """Search for a real 2 x 3 pattern reachable by row and column rephasing.
 
     The input must be a complex Hadamard matrix; both the matrix and its
     transpose are scanned, since membership in a mutually unbiased triple
@@ -108,13 +93,14 @@ def dephased_obstruction(w, cfg: VerifyConfig | None = None) -> ObstructionFindi
     for transposed, mat in ((False, wm), (True, wm.T)):
         hit = _dephasing_scan(mat, cfg.tol_abs)
         if hit is not None:
-            (r1, r2), cols, phases = hit
+            (r1, r2), cols, phases, row_phase = hit
             return ObstructionFinding(
                 obstructed=True,
                 on_transpose=transposed,
                 row_pair=(r1, r2),
                 columns=tuple(int(c) for c in cols),
                 phases=tuple(complex(p) for p in phases),
+                row_phase=complex(row_phase),
             )
     return ObstructionFinding(obstructed=False)
 
@@ -125,8 +111,8 @@ def _validate_witness(wm: np.ndarray, finding: ObstructionFinding) -> float:
     r1, r2 = finding.row_pair  # type: ignore[misc]
     worst = 0.0
     for col, phase in zip(finding.columns, finding.phases):
-        for r in (r1, r2):
-            worst = max(worst, abs((mat[r, col] * phase).imag))
+        for r, row_phase in ((r1, 1.0), (r2, finding.row_phase)):
+            worst = max(worst, abs((mat[r, col] * row_phase * phase).imag))
     return worst
 
 

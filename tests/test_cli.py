@@ -64,6 +64,39 @@ def test_generate_catalog_family_and_matrix(tmp_path, capsys):
     assert doc["matrix"][0][0] == [0.0, -1.0]
 
 
+def test_catalog_matrix_stdout_is_the_saved_document(tmp_path, capsys):
+    path = tmp_path / "u.json"
+    save_matrix(catalog("U"), path)
+    code, out, _ = run(capsys, "generate", "catalog", "U")
+    assert code == 0
+    saved = path.read_text(encoding="utf-8")
+    assert saved.endswith("\n")
+    assert out.rstrip("\n") == saved[:-1]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: {**doc, "d": float("inf")},
+    lambda doc: {**doc, "labels": 5},
+    lambda doc: {**doc, "bases": [doc["bases"][0][:5] + [[[[0.0, 0.0]]]]]},
+], ids=["d_overflows", "labels_not_a_list", "mixed_matrix_shapes"])
+def test_verify_malformed_file_exits_2_without_traceback(tmp_path, capsys, edit):
+    path = tmp_path / "bad.json"
+    run(capsys, "generate", "weyl", "2", "3", "--out", str(path))
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_verify_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"format_version": "museb-1", "d": \xff}')
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_verify_flags_perturbed_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     run(capsys, "generate", "weyl", "2", "3", "--out", str(path))

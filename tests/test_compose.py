@@ -10,7 +10,6 @@ from museb import (
     check_museb_set,
     check_sebk,
     hs_inner,
-    kron,
     mub_prime,
     mumeb_qubit,
     run_recipe,
@@ -50,7 +49,7 @@ def test_tensor_element_order_left_factor_slowest():
     for a in (0, 3, 5):
         for b in (0, 1):
             got = out[0][a * 2 + b]
-            assert np.max(np.abs(got - kron(left[a], right[b]))) < 1e-12
+            assert np.max(np.abs(got - np.kron(left[a], right[b]))) < 1e-12
 
 
 def test_tensor_overlap_product_law():
@@ -130,7 +129,7 @@ def test_recipe_example3_matches_the_literal_construction():
             for si in (0, 4, 8):
                 for tj in (0, 1):
                     idx = ti * 18 + si * 2 + tj
-                    want = kron(t[fi][ti].T, kron(s[fi][si], t[fi][tj]))
+                    want = np.kron(t[fi][ti].T, np.kron(s[fi][si], t[fi][tj]))
                     assert np.max(np.abs(out[fi][idx] - want)) < 1e-12
 
 

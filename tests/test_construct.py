@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from museb import (
     DimensionOrder,
@@ -8,6 +10,7 @@ from museb import (
     NotPrime,
     ThetaParams,
     UnknownName,
+    c23_family,
     c23_partner,
     catalog,
     check_mu_pair,
@@ -29,10 +32,54 @@ SQ2 = np.sqrt(2.0)
 PI = np.pi
 
 
+# loop-form oracles: the formulas as first written, one entry at a time
+
+def weyl_oracle(d, dprime):
+    omega = np.exp(2j * np.pi / d)
+    out = np.zeros((d * dprime, d, dprime), dtype=complex)
+    for m in range(dprime):
+        for n in range(d):
+            mat = np.zeros((d, dprime), dtype=complex)
+            for p in range(d):
+                mat[p, (p + m) % dprime] = omega ** (n * p) / np.sqrt(d)
+            out[m * d + n] = mat
+    return out
+
+
+def c23_oracle(a):
+    out = np.zeros((6, 2, 3), dtype=complex)
+    for m in range(3):
+        for n in range(2):
+            mat = np.zeros((2, 3), dtype=complex)
+            for p in range(2):
+                for r in range(2):
+                    mat[r, (p + m) % 3] += (-1) ** (n * p) * a[p, r] / SQ2
+            out[m * 2 + n] = mat
+    return out
+
+
+def mub_prime_oracle(p):
+    omega = np.exp(2j * np.pi / p)
+    bases = [np.eye(p, dtype=complex)]
+    s = np.arange(p)
+    for b in range(p):
+        vecs = np.empty((p, p), dtype=complex)
+        for j in range(p):
+            vecs[j] = omega ** ((b * s * s + j * s) % p) / np.sqrt(p)
+        bases.append(vecs)
+    return [vecs.reshape(p, 1, p) for vecs in bases]
+
+
 # ---------------------------------------------------------------- weyl_meb
 
 def test_weyl_23_matches_frozen_family():
     assert np.max(np.abs(weyl_meb(2, 3).elements - catalog("R1").elements)) < 1e-12
+
+
+def test_weyl_is_bit_identical_to_the_loop_oracle():
+    pairs = [(d, dp) for d in range(1, 9) for dp in range(d, 9)] + [(32, 32)]
+    for d, dprime in pairs:
+        assert np.array_equal(weyl_meb(d, dprime).elements, weyl_oracle(d, dprime)), (d, dprime)
 
 
 def test_weyl_requires_ordered_dimensions():
@@ -81,6 +128,23 @@ def test_partner_alternative_angles_match_frozen_mixer():
     assert check_mu_pair(phi, psi).passed
 
 
+def test_c23_family_of_identity_is_the_weyl_basis():
+    assert np.array_equal(c23_family(np.eye(2)).elements, weyl_meb(2, 3).elements)
+
+
+_entries = st.floats(-4.0, 4.0, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_entries, min_size=8, max_size=8))
+def test_c23_family_matches_the_loop_oracle(parts):
+    a = (np.array(parts[:4]) + 1j * np.array(parts[4:])).reshape(2, 2)
+    assume(not 0 < np.max(np.abs(a)) < 1e-290)  # products stay clear of subnormals
+    got = c23_family(a).elements
+    bound = 4 * 2.0**-52 * np.max(np.abs(a))
+    assert np.max(np.abs(got - c23_oracle(a))) <= bound
+
+
 def test_partner_rejects_inadmissible_angles():
     with pytest.raises(NotAdmissible):
         c23_partner(ThetaParams(0.0, 1.5 * PI, 0.02))
@@ -127,6 +191,15 @@ def test_mub_prime_counts_and_certification():
         assert check_museb_set(fs).passed
 
 
+def test_mub_prime_is_bit_identical_to_the_loop_oracle():
+    # p = 2 returns the frozen T trio, pinned by the test above
+    for p in (n for n in range(3, 54) if is_prime(n)):
+        got = [fam.elements for fam in mub_prime(p)]
+        want = mub_prime_oracle(p)
+        assert len(got) == len(want) == p + 1
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), p
+
+
 def test_mub_prime_rejects_composites():
     for n in (1, 4, 6, 9):
         with pytest.raises(NotPrime):
@@ -148,9 +221,9 @@ def test_mub_composite_prime_input_delegates():
 
 
 def test_factorize_and_is_prime():
-    assert factorize(12).factors == ((2, 2), (3, 1))
-    assert factorize(7).factors == ((7, 1),)
-    assert factorize(360).factors == ((2, 3), (3, 2), (5, 1))
+    assert factorize(12) == ((2, 2), (3, 1))
+    assert factorize(7) == ((7, 1),)
+    assert factorize(360) == ((2, 3), (3, 2), (5, 1))
     with pytest.raises(ValueError):
         factorize(1)
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]

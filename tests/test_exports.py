@@ -1,0 +1,21 @@
+import museb
+from museb import compose, construct, errors, familyfile, matspace, search, trio, verify
+
+SUBMODULES = (compose, construct, errors, familyfile, matspace, search, trio, verify)
+
+
+def test_package_exports_exactly_the_submodule_lists():
+    union = [name for mod in SUBMODULES for name in mod.__all__]
+    assert len(union) == len(set(union))
+    assert len(museb.__all__) == len(set(museb.__all__))
+    assert set(museb.__all__) == set(union)
+    for mod in SUBMODULES:
+        for name in mod.__all__:
+            assert getattr(museb, name) is getattr(mod, name)
+
+
+def test_test_only_shims_are_gone():
+    for name in ("StateVector", "state_to_matrix", "matrix_to_state", "kron",
+                 "IntFactorization", "has_real_2x3"):
+        assert name not in museb.__all__
+        assert not hasattr(museb, name)

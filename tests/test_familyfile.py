@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from museb import (
     BasisFamily,
@@ -144,3 +146,89 @@ def test_saved_text_is_the_one_shot_encoding(tmp_path):
     save_family_set(fs, path)
     assert path.read_text(encoding="utf-8") == json.dumps(family_set_to_dict(fs)) + "\n"
     assert [f.label for f in load_family_set(path)] == [f.label for f in fs]
+
+
+def _malformed_r_set_files():
+    """Broken museb-1 files, each of a kind that once escaped as another error."""
+    text = json.dumps(family_set_to_dict(r_set()))
+    doc = json.loads(text)
+    mixed = json.loads(text)
+    mixed["bases"][0][1] = mixed["bases"][0][1][:1]  # one 1 x 3 matrix among 2 x 3 ones
+    not_strings = json.loads(text)
+    not_strings["labels"] = [1, 2]
+    return {
+        "d_overflows": text.replace('"d": 2', '"d": 1e999').encode(),
+        "labels_not_a_list": json.dumps({**doc, "labels": 5}).encode(),
+        "labels_not_strings": json.dumps(not_strings).encode(),
+        "mixed_matrix_shapes": json.dumps(mixed).encode(),
+        "entry_overflows": text.replace("0.0", "1" + "0" * 400, 1).encode(),
+        "not_utf8": text.encode()[:40] + b"\xff\xfe" + text.encode()[40:],
+    }
+
+
+MALFORMED = _malformed_r_set_files()
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_malformed_files_raise_only_file_format_error(tmp_path, kind):
+    path = tmp_path / "bad.json"
+    path.write_bytes(MALFORMED[kind])
+    with pytest.raises(FileFormatError):
+        load_family_set(path)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutate_tree(data, node):
+    """Replace or delete one node, chosen by a random walk from the root."""
+    while isinstance(node, (dict, list)) and node:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        key = data.draw(st.sampled_from(keys))
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child or data.draw(st.booleans()):
+            if data.draw(st.booleans()):
+                del node[key]
+            else:
+                node[key] = data.draw(_json_values)
+            return
+        node = child
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_documents_raise_only_file_format_error(tmp_path, data):
+    text = json.dumps(family_set_to_dict(r_set()))
+    if data.draw(st.booleans()):
+        doc = json.loads(text)
+        _mutate_tree(data, doc)
+        raw = json.dumps(doc).encode()
+    else:
+        raw = bytearray(text.encode())
+        for _ in range(data.draw(st.integers(1, 4))):
+            at = data.draw(st.integers(0, len(raw) - 1))
+            op = data.draw(st.sampled_from(["set", "insert", "delete", "truncate"]))
+            if op == "set":
+                raw[at] = data.draw(st.integers(0, 255))
+            elif op == "insert":
+                raw[at:at] = data.draw(st.binary(min_size=1, max_size=4))
+            elif op == "delete":
+                del raw[at]
+            else:
+                del raw[at:]
+            if not raw:
+                break
+        raw = bytes(raw)
+    path = tmp_path / "fuzz.json"
+    path.write_bytes(raw)
+    try:
+        load_family_set(path)
+    except FileFormatError:
+        pass

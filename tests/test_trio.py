@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from museb import (
     NotCHM,
@@ -7,7 +9,6 @@ from museb import (
     VerifyConfig,
     catalog,
     dephased_obstruction,
-    has_real_2x3,
     is_chm,
     theorem2_reproduce,
 )
@@ -26,6 +27,7 @@ def apply_witness(mat, finding):
     out = np.array(mat.T if finding.on_transpose else mat)
     for col, phase in zip(finding.columns, finding.phases):
         out[:, col] = out[:, col] * phase
+    out[finding.row_pair[1]] *= finding.row_phase
     return out
 
 
@@ -40,28 +42,6 @@ def test_is_chm_rejects_flat_but_nonunitary_and_unitary_but_spiky():
     assert not is_chm(np.eye(4, dtype=complex))
     with pytest.raises(ShapeMismatch):
         is_chm(np.ones((2, 3)))
-
-
-def test_has_real_2x3_finds_a_planted_pattern():
-    rng = np.random.default_rng(2)
-    w = np.exp(1j * rng.uniform(0.2, 1.2, size=(4, 5)))
-    w[1, [0, 2, 4]] = [1.0, -1.0, 1.0]
-    w[3, [0, 2, 4]] = [-1.0, 1.0, 1.0]
-    finding = has_real_2x3(w)
-    assert finding.obstructed
-    assert finding.row_pair == (1, 3)
-    assert set(finding.columns) >= {0, 2, 4}
-    assert not finding.on_transpose
-
-
-def test_has_real_2x3_negative_and_shape_guard():
-    rng = np.random.default_rng(4)
-    w = np.exp(1j * rng.uniform(0.3, 1.0, size=(4, 4)))
-    assert not has_real_2x3(w).obstructed
-    with pytest.raises(ShapeMismatch):
-        has_real_2x3(np.ones((1, 5)))
-    with pytest.raises(ShapeMismatch):
-        has_real_2x3(np.ones((4, 2)))
 
 
 def test_dephased_obstruction_requires_chm():
@@ -102,10 +82,53 @@ def test_obstruction_survives_column_phases_and_permutations():
         assert abs(dephased[r2, col].imag) < 1e-10
 
 
+def test_first_witness_on_unrephased_inputs():
+    f = dephased_obstruction(builtin_w())
+    assert (f.on_transpose, f.row_pair, f.columns) == (False, (0, 1), (2, 3, 4, 5))
+    f = dephased_obstruction(fourier(6))
+    assert (f.on_transpose, f.row_pair, f.columns) == (False, (0, 3), tuple(range(6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    which=st.sampled_from(["builtin", "fourier6", "fourier5"]),
+    rows=st.permutations(range(6)),
+    cols=st.permutations(range(6)),
+    row_angles=st.lists(st.floats(0.0, 2 * np.pi), min_size=6, max_size=6),
+    col_angles=st.lists(st.floats(0.0, 2 * np.pi), min_size=6, max_size=6),
+)
+def test_obstruction_is_invariant_under_hadamard_equivalence(
+    which, rows, cols, row_angles, col_angles
+):
+    # permuting and rephasing rows and columns keeps both bases, so it keeps
+    # the verdict; fourier(5) is padded to 6 x 6 only for the shared draws
+    base = {"builtin": builtin_w(), "fourier6": fourier(6), "fourier5": fourier(5)}[which]
+    n = base.shape[0]
+    rows = [r for r in rows if r < n]
+    cols = [c for c in cols if c < n]
+    w = base[rows][:, cols]
+    w = w * np.exp(1j * np.array(row_angles[:n]))[:, None]
+    w = w * np.exp(1j * np.array(col_angles[:n]))[None, :]
+    assert is_chm(w)
+    finding = dephased_obstruction(w)
+    assert finding.obstructed == dephased_obstruction(base).obstructed
+    if finding.obstructed:
+        dephased = apply_witness(w, finding)
+        r1, r2 = finding.row_pair
+        tol = VerifyConfig().tol_abs
+        for col in finding.columns:
+            assert abs(dephased[r1, col].imag) <= tol
+            assert abs(dephased[r2, col].imag) <= tol
+
+
 def test_obstruction_found_on_transpose_when_rows_are_scrambled():
-    # row phases hide every direct pattern of the Fourier matrix, but the
-    # transpose turns them into harmless column phases
-    w = np.diag(np.exp(1j * np.array([0.0, 0.0, 0.0, 0.4, 1.1, 2.0]))) @ fourier(6)
+    # the affine Fourier family F6(a, b) shifts the phases of the odd rows in
+    # the pattern (0, a, b, 0, a, b): no two rows keep a phase difference that
+    # is constant modulo pi on three columns, but columns 0 and 3 stay Fourier
+    a, b = 0.4, 1.1
+    shift = np.zeros((6, 6))
+    shift[1::2] = [0.0, a, b, 0.0, a, b]
+    w = fourier(6) * np.exp(1j * shift)
     assert is_chm(w)
     finding = dephased_obstruction(w)
     assert finding.obstructed
