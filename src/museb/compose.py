@@ -7,14 +7,16 @@ C^(dp) (x) C^(d'q), one for each aligned pair of input families.  Singular
 values and overlaps multiply across the Kronecker product, which is what
 makes the count, the rank, and the unbiasedness all survive.
 
-run_recipe packages named applications of this rule.  Every recipe
-verifies its ingredients and its output before returning, so a returned
-set is always a certified witness.
+run_recipe packages named applications of this rule.  Each recipe is a
+tree whose leaves are built-in sets for dimension pairs (d, d') and whose
+nodes tensor or transpose; every subtree is certified before it is used
+and the output once more, so a returned set is always a certified witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -95,16 +97,8 @@ def _trivial_set(count: int) -> FamilySet:
     return FamilySet(fams)
 
 
-def _mub_set(q: int) -> FamilySet:
-    if q == 1:
-        return _trivial_set(3)
-    return mub_composite(q)
-
-
 def _mumeb_square(d: int) -> FamilySet:
-    """Three or more mutually unbiased maximally entangled bases of C^d (x) C^d."""
-    if d == 1:
-        return _trivial_set(3)
+    """Three or more mutually unbiased maximally entangled bases of C^d (x) C^d, d > 1."""
     if d == 2:
         return mumeb_qubit()
     if d == 3:
@@ -131,9 +125,9 @@ def _known_set(d: int, dprime: int) -> FamilySet:
     if (d, dprime) == (1, 1):
         return _trivial_set(3)
     if d == 1:
-        return _mub_set(dprime)
+        return mub_composite(dprime)
     if dprime == 1:
-        return transpose_family(_mub_set(d))
+        return transpose_family(mub_composite(d))
     if (d, dprime) == (2, 3):
         return FamilySet((catalog("R1"), catalog("R2")))
     if (d, dprime) == (3, 2):
@@ -146,93 +140,46 @@ def _known_set(d: int, dprime: int) -> FamilySet:
     )
 
 
-def _require(cond_set: FamilySet, what: str, cfg: VerifyConfig) -> FamilySet:
-    report = check_museb_set(cond_set, cfg)
+def _certified(fs: FamilySet, what: str, cfg: VerifyConfig) -> FamilySet:
+    report = check_museb_set(fs, cfg)
     if not report.passed:
         raise VerificationFailed(
             f"{what} failed certification with worst violation {report.worst_violation:.3e}"
         )
-    return cond_set
+    return fs
 
 
-def _params(spec: RecipeSpec, names: tuple[str, ...], defaults: dict[str, int]) -> dict[str, int]:
-    params = dict(defaults)
-    params.update(spec.parameters)
-    missing = [n for n in names if n not in params]
-    if missing:
-        raise ValueError(f"recipe {spec.name!r} is missing parameters {missing}")
-    bad = {n: params[n] for n in names if int(params[n]) < 1}
-    if bad:
-        raise ValueError(f"recipe {spec.name!r} needs positive parameters, got {bad}")
-    return {n: int(params[n]) for n in names}
+# A recipe tree is a leaf (d, d') standing for _known_set(d, d'), a node
+# ("T", tree) for its transpose, or a pair (left, right) for
+# tensor_families(left, right).  Kronecker products round differently when
+# re-associated, so each tree fixes the nesting its saved bytes depend on.
+Tree = Any
 
 
-def _recipe_theorem3(spec: RecipeSpec, cfg: VerifyConfig) -> FamilySet:
-    p = _params(spec, ("d", "dprime", "p", "q"), {})
-    s = _require(_known_set(p["d"], p["dprime"]), "left ingredient", cfg)
-    t = _require(_known_set(p["p"], p["q"]), "right ingredient", cfg)
-    return tensor_families(s, t)
+def _build(tree: Tree, cfg: VerifyConfig) -> FamilySet:
+    """Evaluate a recipe tree, certifying every proper subtree before using it."""
+    if isinstance(tree[0], int):
+        return _known_set(*tree)
+    parts = [_certified(_build(sub, cfg), f"ingredient {sub}", cfg) for sub in tree if sub != "T"]
+    return transpose_family(*parts) if tree[0] == "T" else tensor_families(*parts)
 
 
-def _recipe_corollary1_right(spec: RecipeSpec, cfg: VerifyConfig) -> FamilySet:
-    p = _params(spec, ("d", "dprime", "q"), {})
-    s = _require(_known_set(p["d"], p["dprime"]), "left ingredient", cfg)
-    t = _require(_mub_set(p["q"]), "unbiased bases", cfg)
-    return tensor_families(s, t)
-
-
-def _recipe_corollary1_left(spec: RecipeSpec, cfg: VerifyConfig) -> FamilySet:
-    p = _params(spec, ("d", "dprime", "p"), {})
-    s = _require(_known_set(p["d"], p["dprime"]), "left ingredient", cfg)
-    t = _require(transpose_family(_mub_set(p["p"])), "unbiased bases", cfg)
-    return tensor_families(s, t)
-
-
-def _recipe_example1(spec: RecipeSpec, cfg: VerifyConfig) -> FamilySet:
+# name -> (parameter names, defaults, parameters -> recipe tree)
+_RECIPES: dict[str, tuple[tuple[str, ...], dict[str, int], Callable[..., Tree]]] = {
+    "theorem3": (("d", "dprime", "p", "q"), {}, lambda d, dprime, p, q: ((d, dprime), (p, q))),
+    "corollary1_right": (("d", "dprime", "q"), {}, lambda d, dprime, q: ((d, dprime), (1, q))),
+    "corollary1_left": (
+        ("d", "dprime", "p"), {}, lambda d, dprime, p: ((d, dprime), ("T", (1, p)))
+    ),
     # three maximally entangled witnesses in C^4 (x) C^24 built from
     # qubit frames crossed with small unbiased bases
-    a = tensor_families(_require(mumeb_qubit(), "qubit frames", cfg), _mub_set(2))
-    b = tensor_families(_require(mumeb_qubit(), "qubit frames", cfg), _mub_set(3))
-    return tensor_families(_require(a, "(2,4) stage", cfg), _require(b, "(2,6) stage", cfg))
-
-
-def _recipe_example3(spec: RecipeSpec, cfg: VerifyConfig) -> FamilySet:
+    "example1": ((), {}, lambda: (((2, 2), (1, 2)), ((2, 2), (1, 3)))),
     # Schmidt-rank-3 witnesses in C^6 (x) C^6 of the literal form
     # kron(t^T, kron(s, t)) with s from the square rank-3 set and t qubit-sided
-    s_set = _require(_mumeb_square(3), "rank-3 square set", cfg)
-    t_set = _require(_mub_set(2), "qubit unbiased bases", cfg)
-    inner = tensor_families(s_set, t_set)
-    return tensor_families(transpose_family(t_set), inner)
-
-
-def _recipe_cor21k_mumeb(spec: RecipeSpec, cfg: VerifyConfig) -> FamilySet:
-    p = _params(spec, ("d", "q"), {"d": 1, "q": 1})
-    base = _require(_known_set(2, 3), "rank-2 pair", cfg)
-    step = tensor_families(base, _require(_mumeb_square(p["d"]), "square set", cfg))
-    return tensor_families(step, _require(_mub_set(p["q"]), "unbiased bases", cfg))
-
-
-def _recipe_cor21k_seb2(spec: RecipeSpec, cfg: VerifyConfig) -> FamilySet:
-    p = _params(spec, ("k",), {"k": 2})
-    s = _require(transpose_family(_known_set(2, 3)), "rank-2 pair", cfg)
-    return tensor_families(s, _require(_mub_set(p["k"]), "unbiased bases", cfg))
-
-
-def _recipe_m69(spec: RecipeSpec, cfg: VerifyConfig) -> FamilySet:
-    s = _require(_known_set(2, 3), "rank-2 pair", cfg)
-    t = _require(_mumeb_square(3), "rank-3 square set", cfg)
-    return tensor_families(s, t)
-
-
-_RECIPES = {
-    "theorem3": _recipe_theorem3,
-    "corollary1_right": _recipe_corollary1_right,
-    "corollary1_left": _recipe_corollary1_left,
-    "example1": _recipe_example1,
-    "example3": _recipe_example3,
-    "cor21k_mumeb": _recipe_cor21k_mumeb,
-    "cor21k_seb2": _recipe_cor21k_seb2,
-    "m69": _recipe_m69,
+    "example3": ((), {}, lambda: (("T", (1, 2)), ((3, 3), (1, 2)))),
+    "cor21k_mumeb": (("d", "q"), {"d": 1, "q": 1}, lambda d, q: (((2, 3), (d, d)), (1, q))),
+    "cor21k_seb2": (("k",), {"k": 2}, lambda k: (("T", (2, 3)), (1, k))),
+    "m69": ((), {}, lambda: ((2, 3), (3, 3))),
 }
 
 RECIPE_NAMES = tuple(_RECIPES)
@@ -247,10 +194,17 @@ def run_recipe(spec: RecipeSpec, cfg: VerifyConfig | None = None) -> FamilySet:
     """
     cfg = cfg or VerifyConfig()
     try:
-        recipe = _RECIPES[spec.name]
+        names, defaults, recipe = _RECIPES[spec.name]
     except KeyError:
         raise ValueError(
             f"unknown recipe {spec.name!r}; known recipes: {', '.join(RECIPE_NAMES)}"
         ) from None
-    result = recipe(spec, cfg)
-    return _require(result, f"recipe {spec.name!r} output", cfg)
+    params = {**defaults, **spec.parameters}
+    missing = [n for n in names if n not in params]
+    if missing:
+        raise ValueError(f"recipe {spec.name!r} is missing parameters {missing}")
+    bad = {n: params[n] for n in names if int(params[n]) < 1}
+    if bad:
+        raise ValueError(f"recipe {spec.name!r} needs positive parameters, got {bad}")
+    tree = recipe(*(int(params[n]) for n in names))
+    return _certified(_build(tree, cfg), f"recipe {spec.name!r} output", cfg)

@@ -36,11 +36,12 @@ def matrix_to_list(mat: np.ndarray) -> list[list[list[float]]]:
 
 
 def matrix_from_list(data: Any) -> np.ndarray:
-    try:
+    # the inverse of matrix_to_list: a matrix, or a (n, d, d') stack at once
+    try:  # ragged nesting raises ValueError
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"matrix entries must be [real, imag] pairs: {exc}") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2:
+    if arr.ndim not in (3, 4) or arr.shape[-1] != 2:
         raise FileFormatError(
             f"matrix must be rows x cols x [real, imag], got shape {arr.shape}"
         )
@@ -70,12 +71,12 @@ def family_set_from_dict(doc: Any) -> FamilySet:
     if version != FORMAT_VERSION:
         raise FileFormatError(f"unsupported format_version {version!r}; expected {FORMAT_VERSION!r}")
     try:
-        d = int(doc["d"])
-        dprime = int(doc["dprime"])
-        k = int(doc["k"])
-        bases = doc["bases"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FileFormatError(f"missing or malformed field: {exc}") from exc
+        d, dprime, k, bases = (doc[key] for key in ("d", "dprime", "k", "bases"))
+    except KeyError as exc:
+        raise FileFormatError(f"missing field: {exc}") from exc
+    for key, val in (("d", d), ("dprime", dprime), ("k", k)):
+        if type(val) is not int:  # a JSON integer; bool, float and str are refused
+            raise FileFormatError(f"{key} must be an integer, got {val!r}")
     if not isinstance(bases, list) or not bases:
         raise FileFormatError("bases must be a nonempty list")
     labels = doc.get("labels", [""] * len(bases))
@@ -87,11 +88,9 @@ def family_set_from_dict(doc: Any) -> FamilySet:
     for label, basis in zip(labels, bases):
         if not isinstance(basis, list) or not basis:
             raise FileFormatError("each basis must be a nonempty list of matrices")
-        mats = [matrix_from_list(mat) for mat in basis]
-        try:  # np.stack raises ValueError on matrices of different shapes
-            families.append(
-                BasisFamily(d=d, dprime=dprime, k=k, elements=np.stack(mats), label=label)
-            )
+        elements = matrix_from_list(basis)
+        try:
+            families.append(BasisFamily(d=d, dprime=dprime, k=k, elements=elements, label=label))
         except Exception as exc:
             raise FileFormatError(f"stored basis is inconsistent: {exc}") from exc
     try:
@@ -145,5 +144,8 @@ def load_matrix(path: str | os.PathLike) -> np.ndarray:
     if isinstance(doc, dict):
         if "matrix" not in doc:
             raise FileFormatError("matrix file must carry a 'matrix' field")
-        return matrix_from_list(doc["matrix"])
-    return matrix_from_list(doc)
+        doc = doc["matrix"]
+    mat = matrix_from_list(doc)
+    if mat.ndim != 2:
+        raise FileFormatError(f"expected one matrix, got an array of shape {mat.shape}")
+    return mat

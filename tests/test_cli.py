@@ -78,7 +78,12 @@ def test_catalog_matrix_stdout_is_the_saved_document(tmp_path, capsys):
     lambda doc: {**doc, "d": float("inf")},
     lambda doc: {**doc, "labels": 5},
     lambda doc: {**doc, "bases": [doc["bases"][0][:5] + [[[[0.0, 0.0]]]]]},
-], ids=["d_overflows", "labels_not_a_list", "mixed_matrix_shapes"])
+    lambda doc: {**doc, "k": 2.7},
+    lambda doc: {**doc, "k": "2"},
+    lambda doc: {**doc, "k": 2.0},
+    lambda doc: {**doc, "k": True},
+], ids=["d_overflows", "labels_not_a_list", "mixed_matrix_shapes",
+        "k_fractional", "k_string", "k_float", "k_bool"])
 def test_verify_malformed_file_exits_2_without_traceback(tmp_path, capsys, edit):
     path = tmp_path / "bad.json"
     run(capsys, "generate", "weyl", "2", "3", "--out", str(path))

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from museb import (
+    BasisFamily,
     EmptyInput,
     FamilySet,
     RecipeSpec,
     UnsupportedParameters,
+    VerificationFailed,
     catalog,
     check_museb_set,
     check_sebk,
@@ -18,6 +20,7 @@ from museb import (
     transpose_family,
     weyl_meb,
 )
+from museb import compose
 
 
 def s_set():
@@ -188,6 +191,23 @@ def test_recipe_out_of_scope_parameters_are_refused_loudly():
         run_recipe(RecipeSpec("cor21k_mumeb", {"d": 5, "q": 1}))
     with pytest.raises(UnsupportedParameters):
         run_recipe(RecipeSpec("theorem3", {"d": 2, "dprime": 5, "p": 1, "q": 1}))
+
+
+def test_recipe_certifies_every_ingredient(monkeypatch):
+    known_set = compose._known_set
+
+    def tampered(d, dprime):
+        fs = known_set(d, dprime)
+        if (d, dprime) != (1, 2):
+            return fs
+        el = fs[0].elements.copy()
+        el[0] *= 1.001
+        bad = BasisFamily(fs.d, fs.dprime, fs.k, el, fs[0].label)
+        return FamilySet((bad,) + fs.families[1:])
+
+    monkeypatch.setattr(compose, "_known_set", tampered)
+    with pytest.raises(VerificationFailed, match=r"^ingredient \(1, 2\) failed"):
+        run_recipe(RecipeSpec("example1"))
 
 
 def test_composed_outputs_certify_end_to_end():

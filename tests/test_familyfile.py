@@ -82,6 +82,13 @@ def test_malformed_documents_are_rejected():
     with pytest.raises(FileFormatError):
         family_set_from_dict(doc)
 
+    # header fields are JSON integers, never coerced
+    for key, val in [("k", 2.7), ("k", "2"), ("k", 2.0), ("k", True), ("d", 2.0), ("dprime", "3")]:
+        doc = family_set_to_dict(r_set())
+        doc[key] = val
+        with pytest.raises(FileFormatError, match=f"{key} must be an integer"):
+            family_set_from_dict(doc)
+
 
 def test_truncated_json_file(tmp_path):
     path = tmp_path / "broken.json"
@@ -114,6 +121,9 @@ def test_matrix_rejects_malformed(tmp_path):
     path.write_text(json.dumps([[1.0, 2.0]]))
     with pytest.raises(FileFormatError):
         load_matrix(path)
+    path.write_text(json.dumps({"matrix": [[[[1.0, 0.0]]]]}))  # a stack, not one matrix
+    with pytest.raises(FileFormatError):
+        load_matrix(path)
 
 
 # sha256 of the files the original per-entry writer produced; any writer
@@ -122,6 +132,24 @@ def test_matrix_rejects_malformed(tmp_path):
     (lambda: mub_prime(5), "9e2bad8b37071e200bc77337beb0876906214aadfb977b47ae7a50f19ec4cee0"),
     (lambda: run_recipe(RecipeSpec("example3")),
      "ae19ec94e65063739ec9994d6bf82d53ce31af5aa5419b412ba0c9ca04c129fc"),
+    (lambda: run_recipe(RecipeSpec("theorem3", {"d": 2, "dprime": 3, "p": 3, "q": 3})),
+     "6302315a7afc699350701bc3d0e01e71d481709af893518659a290310716f18d"),
+    (lambda: run_recipe(RecipeSpec("corollary1_right", {"d": 2, "dprime": 3, "q": 4})),
+     "ba771edce21aa321c56ce7963d56b7acadbc487707cf6492889cb6ff618211e4"),
+    (lambda: run_recipe(RecipeSpec("corollary1_left", {"d": 2, "dprime": 3, "p": 3})),
+     "84c59c23cb5a57f5a39b1cc0f5e91f0414cd0435f8292ef8429e54e9957588c5"),
+    # p = 1 transposes the trivial set, so its labels read triv^T
+    (lambda: run_recipe(RecipeSpec("corollary1_left", {"d": 2, "dprime": 3, "p": 1})),
+     "f9858b38f6d39f293a9819c3a69a1ba3f364d883d73d214d1eb2c36d84e8df55"),
+    (lambda: run_recipe(RecipeSpec("example1")),
+     "6b94e273e9edeceb01a2ae3cbdb0f4bc6fc6d0ff64fdafe7a124d069df2cd317"),
+    (lambda: run_recipe(RecipeSpec("cor21k_mumeb", {"d": 2, "q": 2})),
+     "065a4b4751f7fc6fcaff0bdf7cd58238ff1b3539cd0555115d150c1e3d0ca2e4"),
+    (lambda: run_recipe(RecipeSpec("cor21k_seb2", {"k": 3})),
+     "aab9d67930899589a9a917e4fe1032af4de2b7a6c04e3262e51e65c028d4ddad"),
+    # m69 is theorem3 on (2, 3) and (3, 3), byte for byte
+    (lambda: run_recipe(RecipeSpec("m69")),
+     "6302315a7afc699350701bc3d0e01e71d481709af893518659a290310716f18d"),
 ])
 def test_saved_bytes_are_pinned(tmp_path, fs_builder, digest):
     path = tmp_path / "set.json"

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from museb import (
     run_recipe,
     schmidt_number,
     tensor_families,
+    transpose_family,
     weyl_meb,
 )
 from museb import verify
@@ -292,21 +295,63 @@ REGRESSION_SETS = {
 }
 
 
-@pytest.mark.parametrize("variant", ["as_built", "scaled_1e-3", "scaled_5e-9"])
-@pytest.mark.parametrize("name", list(REGRESSION_SETS))
-def test_kernel_reproduces_einsum_reports(monkeypatch, name, variant):
-    fs = REGRESSION_SETS[name]()
+VARIANTS = ["as_built", "scaled_1e-3", "scaled_5e-9"]
+
+
+def variant_of(fs, variant):
     # the failing variants make the offender lists non-empty; their factors
     # put every deviation well clear of the 1e-9 tolerance
     if variant == "scaled_1e-3":
-        fs = scaled(fs, len(fs) - 1, len(fs[-1]) // 2, 1.001)
-    elif variant == "scaled_5e-9":
-        fs = scaled(fs, 0, 0, 1 + 5e-9)
+        return scaled(fs, len(fs) - 1, len(fs[-1]) // 2, 1.001)
+    if variant == "scaled_5e-9":
+        return scaled(fs, 0, 0, 1 + 5e-9)
+    return fs
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", list(REGRESSION_SETS))
+def test_kernel_reproduces_einsum_reports(monkeypatch, name, variant):
+    fs = variant_of(REGRESSION_SETS[name](), variant)
     got = check_museb_set(fs)
     monkeypatch.setattr(verify, "_overlap_gram", einsum_gram)
     want = check_museb_set(fs)
     assert got.passed == want.passed
     assert got.checks_run == want.checks_run
     assert [o[:4] for o in got.offenders] == [o[:4] for o in want.offenders]
+    bound = fs.d * fs.dprime * 2.0**-52
+    assert abs(got.worst_violation - want.worst_violation) <= bound
+
+
+@functools.cache
+def regression_set(name):
+    return REGRESSION_SETS[name]()
+
+
+def with_families(fs, elements_of):
+    return FamilySet(tuple(BasisFamily(f.d, f.dprime, f.k, elements_of(f), f.label)
+                           for f in fs))
+
+
+# maps under which every certificate is invariant: the transpose swaps the
+# subsystems, and the other two relabel or rephase the elements of a basis
+SYMMETRIES = {
+    "transpose": lambda fs, rng: transpose_family(fs),
+    "unit_phases": lambda fs, rng: with_families(
+        fs, lambda f: f.elements * np.exp(2j * np.pi * rng.random(len(f)))[:, None, None]),
+    "permutation": lambda fs, rng: with_families(
+        fs, lambda f: f.elements[rng.permutation(len(f))]),
+}
+
+
+@pytest.mark.parametrize("symmetry", list(SYMMETRIES))
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from([n for n in REGRESSION_SETS if n != "mub_prime(53)"]),
+       variant=st.sampled_from(VARIANTS), seed=st.integers(0, 2**32 - 1))
+def test_report_is_invariant_under_symmetries(symmetry, name, variant, seed):
+    fs = variant_of(regression_set(name), variant)
+    want = check_museb_set(fs)
+    got = check_museb_set(SYMMETRIES[symmetry](fs, np.random.default_rng(seed)))
+    assert got.passed == want.passed
+    assert got.checks_run == want.checks_run
     bound = fs.d * fs.dprime * 2.0**-52
     assert abs(got.worst_violation - want.worst_violation) <= bound
