@@ -8,21 +8,21 @@ one convention everywhere: 0 for success (including "obstruction found"),
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 
 import numpy as np
 
 from . import compose, construct, familyfile, search, trio
-from .errors import MusebError
+from .errors import MusebError, VerificationFailed
 from .matspace import is_unitary
 from .verify import BasisFamily, FamilySet, VerifyConfig, check_museb_set
 
+_RECIPE_PARAMETERS = ("d", "dprime", "p", "q", "k")
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-9, help="certification tolerance")
-    parser.add_argument("--out", default=None, help="write output to this path")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized modes")
+
+def _verify_config(args: argparse.Namespace) -> VerifyConfig:
+    return VerifyConfig(tol_abs=args.tol, tol_overlap=args.tol)
 
 
 def _emit_family_set(fs: FamilySet, out: str | None) -> None:
@@ -30,7 +30,7 @@ def _emit_family_set(fs: FamilySet, out: str | None) -> None:
         familyfile.save_family_set(fs, out)
         print(f"wrote {out}")
     else:
-        print(json.dumps(familyfile.family_set_to_dict(fs)))
+        familyfile._write_family_set(fs, sys.stdout)
 
 
 def _emit_matrix(mat: np.ndarray, out: str | None) -> None:
@@ -75,13 +75,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     fs = familyfile.load_family_set(args.path)
     if args.k is not None:
-        fams = tuple(
-            BasisFamily(d=f.d, dprime=f.dprime, k=args.k, elements=f.elements, label=f.label)
-            for f in fs
-        )
-        fs = FamilySet(fams)
-    cfg = VerifyConfig(tol_abs=args.tol, tol_overlap=args.tol)
-    report = check_museb_set(fs, cfg)
+        fs = FamilySet(tuple(dataclasses.replace(f, k=args.k) for f in fs))
+    report = check_museb_set(fs, _verify_config(args))
     print(f"witness_count: {fs.witness_count}")
     print(f"dims: {fs.d} x {fs.dprime}, k={fs.k}")
     print(f"checks_run: {report.checks_run}")
@@ -93,39 +88,31 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
-    cfg = VerifyConfig(tol_abs=args.tol, tol_overlap=args.tol)
-    if args.recipe == "tensor":
-        if len(args.inputs) != 2:
-            raise ValueError("compose tensor needs exactly two input files")
-        left = familyfile.load_family_set(args.inputs[0])
-        right = familyfile.load_family_set(args.inputs[1])
-        for name, fs in (("left", left), ("right", right)):
-            rep = check_museb_set(fs, cfg)
-            if not rep.passed:
-                print(f"{name} input failed certification "
-                      f"(worst violation {rep.worst_violation:.3e})", file=sys.stderr)
-                return 1
-        result = compose.tensor_families(left, right)
-        rep = check_museb_set(result, cfg)
-        if not rep.passed:
-            print(f"composed set failed certification "
-                  f"(worst violation {rep.worst_violation:.3e})", file=sys.stderr)
-            return 1
-    else:
+    cfg = _verify_config(args)
+    params = {key: v for key in _RECIPE_PARAMETERS if (v := getattr(args, key)) is not None}
+    if args.recipe != "tensor":
         if args.inputs:
             raise ValueError(f"recipe {args.recipe!r} takes parameters, not input files")
-        params = {}
-        for key in ("d", "dprime", "p", "q", "k"):
-            val = getattr(args, f"param_{key}")
-            if val is not None:
-                params[key] = val
         result = compose.run_recipe(compose.RecipeSpec(args.recipe, params), cfg)
+    else:
+        if len(args.inputs) != 2:
+            raise ValueError("compose tensor needs exactly two input files")
+        if params:
+            raise ValueError(f"compose tensor takes input files, not parameters {list(params)}")
+        left, right = (familyfile.load_family_set(path) for path in args.inputs)
+        try:
+            left = compose._certified(left, "left input", cfg)
+            right = compose._certified(right, "right input", cfg)
+            result = compose._certified(compose.tensor_families(left, right), "composed set", cfg)
+        except VerificationFailed as exc:
+            print(exc, file=sys.stderr)
+            return 1
     _emit_family_set(result, args.out)
     return 0
 
 
 def _cmd_trio(args: argparse.Namespace) -> int:
-    cfg = VerifyConfig(tol_abs=args.tol, tol_overlap=args.tol)
+    cfg = _verify_config(args)
     if args.builtin:
         if args.paths:
             raise ValueError("--builtin takes no input files")
@@ -161,29 +148,30 @@ def _cmd_trio(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
-    if args.mode == "third-basis":
-        cfg = search.SearchConfig(
-            seed=args.seed,
-            max_iterations=args.iterations,
-            step_scale=args.step,
-            restarts=args.restarts,
-        )
-        outcome = search.third_basis_search(cfg)
-        print(f"best_cost: {outcome.best_cost!r}")
-        print(f"iterations_used: {outcome.iterations_used}")
-        print(f"converged_to_zero: {'true' if outcome.converged_to_zero else 'false'}")
-        flat = ",".join(f"{z.real:+.12e}{z.imag:+.12e}j" for z in outcome.best_candidate.reshape(-1))
-        print(f"best_candidate: {flat}")
-        return 0
-    if args.mode == "closure":
-        sweep = search.closure_sweep(args.pairs, seed=args.seed, tol=args.tol)
-        print(f"closure failures: {sweep.failures}/{sweep.pairs}")
-        return 0
-    raise ValueError(f"unknown search mode {args.mode!r}")  # pragma: no cover
+def _cmd_third_basis(args: argparse.Namespace) -> int:
+    cfg = search.SearchConfig(seed=args.seed, max_iterations=args.iterations,
+                              step_scale=args.step, restarts=args.restarts)
+    outcome = search.third_basis_search(cfg)
+    print(f"best_cost: {outcome.best_cost!r}")
+    print(f"iterations_used: {outcome.iterations_used}")
+    print(f"converged_to_zero: {'true' if outcome.converged_to_zero else 'false'}")
+    flat = ",".join(f"{z.real:+.12e}{z.imag:+.12e}j" for z in outcome.best_candidate.reshape(-1))
+    print(f"best_candidate: {flat}")
+    return 0
+
+
+def _cmd_closure(args: argparse.Namespace) -> int:
+    sweep = search.closure_sweep(args.pairs, seed=args.seed, tol=args.tol)
+    print(f"closure failures: {sweep.failures}/{sweep.pairs}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # one-flag parent parsers: each leaf takes only the flags its handler reads
+    tol, out, seed = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    tol.add_argument("--tol", type=float, default=1e-9, help="certification tolerance")
+    out.add_argument("--out", default=None, help="write output to this path")
+    seed.add_argument("--seed", type=int, default=0, help="seed for the random draws")
     parser = argparse.ArgumentParser(
         prog="museb",
         description="Construct, compose, certify, and probe mutually unbiased "
@@ -192,64 +180,55 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="build a family set or catalog object")
+    gen.set_defaults(func=_cmd_generate)
     gensub = gen.add_subparsers(dest="generator", required=True)
 
-    g_weyl = gensub.add_parser("weyl", help="shift-phase entangled basis")
+    g_weyl = gensub.add_parser("weyl", parents=[out], help="shift-phase entangled basis")
     g_weyl.add_argument("d", type=int)
     g_weyl.add_argument("dprime", type=int)
-    _common_flags(g_weyl)
 
-    g_c23 = gensub.add_parser("c23", help="the (2,3) mutually unbiased pair")
+    g_c23 = gensub.add_parser("c23", parents=[tol, out], help="the (2,3) mutually unbiased pair")
     g_c23.add_argument("theta1", type=float)
     g_c23.add_argument("theta2", type=float)
     g_c23.add_argument("theta3", type=float, nargs="?", default=None)
-    _common_flags(g_c23)
 
-    g_mub = gensub.add_parser("mub", help="p+1 unbiased bases for prime p")
+    g_mub = gensub.add_parser("mub", parents=[out], help="p+1 unbiased bases for prime p")
     g_mub.add_argument("p", type=int)
-    _common_flags(g_mub)
 
-    g_cat = gensub.add_parser("catalog", help="frozen reference object by name")
+    g_cat = gensub.add_parser("catalog", parents=[out], help="frozen reference object by name")
     g_cat.add_argument("name", choices=list(construct.CATALOG_NAMES))
-    _common_flags(g_cat)
 
-    g_mq = gensub.add_parser("mumeb-qubit", help="three qubit-pair entangled bases")
-    _common_flags(g_mq)
+    gensub.add_parser("mumeb-qubit", parents=[out], help="three qubit-pair entangled bases")
 
-    ver = sub.add_parser("verify", help="certify a stored family set")
+    ver = sub.add_parser("verify", parents=[tol], help="certify a stored family set")
+    ver.set_defaults(func=_cmd_verify)
     ver.add_argument("path")
     ver.add_argument("--k", type=int, default=None, help="override the claimed Schmidt rank")
-    _common_flags(ver)
 
-    comp = sub.add_parser("compose", help="run a composition recipe")
+    comp = sub.add_parser("compose", parents=[tol, out], help="run a composition recipe")
+    comp.set_defaults(func=_cmd_compose)
     comp.add_argument("recipe", choices=list(compose.RECIPE_NAMES) + ["tensor"])
     comp.add_argument("inputs", nargs="*", help="input files for the tensor recipe")
-    comp.add_argument("--d", dest="param_d", type=int, default=None)
-    comp.add_argument("--dprime", dest="param_dprime", type=int, default=None)
-    comp.add_argument("--p", dest="param_p", type=int, default=None)
-    comp.add_argument("--q", dest="param_q", type=int, default=None)
-    comp.add_argument("--k", dest="param_k", type=int, default=None)
-    _common_flags(comp)
+    for key in _RECIPE_PARAMETERS:
+        comp.add_argument(f"--{key}", type=int, default=None, help="recipe parameter")
 
-    tri = sub.add_parser("trio", help="scan for a third-basis obstruction")
+    tri = sub.add_parser("trio", parents=[tol], help="scan for a third-basis obstruction")
+    tri.set_defaults(func=_cmd_trio)
     tri.add_argument("paths", nargs="*", help="one Hadamard file, or two basis files")
     tri.add_argument("--builtin", action="store_true", help="use the frozen U, V pair")
-    _common_flags(tri)
 
-    sea = sub.add_parser("search", help="numerical probes")
-    sea.add_argument("mode", choices=["third-basis", "closure"])
-    sea.add_argument("--iterations", type=int, default=300)
-    sea.add_argument("--restarts", type=int, default=4)
-    sea.add_argument("--step", type=float, default=0.25)
-    sea.add_argument("--pairs", type=int, default=1000)
-    _common_flags(sea)
+    sea = sub.add_parser("search", help="numerical probes: third-basis or closure")
+    seasub = sea.add_subparsers(dest="mode", required=True)
 
-    parser.set_defaults(func=None)
-    gen.set_defaults(func=_cmd_generate)
-    ver.set_defaults(func=_cmd_verify)
-    comp.set_defaults(func=_cmd_compose)
-    tri.set_defaults(func=_cmd_trio)
-    sea.set_defaults(func=_cmd_search)
+    s_tb = seasub.add_parser("third-basis", parents=[seed], help="seeded third-basis descent")
+    s_tb.set_defaults(func=_cmd_third_basis)
+    s_tb.add_argument("--iterations", type=int, default=300)
+    s_tb.add_argument("--restarts", type=int, default=4)
+    s_tb.add_argument("--step", type=float, default=0.25)
+
+    s_cl = seasub.add_parser("closure", parents=[tol, seed], help="sample mixer products")
+    s_cl.set_defaults(func=_cmd_closure)
+    s_cl.add_argument("--pairs", type=int, default=1000)
     return parser
 
 

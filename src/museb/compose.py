@@ -188,9 +188,10 @@ RECIPE_NAMES = tuple(_RECIPES)
 def run_recipe(spec: RecipeSpec, cfg: VerifyConfig | None = None) -> FamilySet:
     """Assemble a named composition and certify it before returning.
 
-    Raises UnsupportedParameters when the recipe would need an ingredient
-    this package does not build, and VerificationFailed if an assembled
-    set does not certify (which would indicate a bug, not bad input).
+    Raises ValueError unless the recipe gets each of its parameters, and no
+    other, as a positive int (never a bool); UnsupportedParameters when it
+    would need an ingredient this package does not build; VerificationFailed
+    if an assembled set does not certify (a bug, not bad input).
     """
     cfg = cfg or VerifyConfig()
     try:
@@ -200,11 +201,14 @@ def run_recipe(spec: RecipeSpec, cfg: VerifyConfig | None = None) -> FamilySet:
             f"unknown recipe {spec.name!r}; known recipes: {', '.join(RECIPE_NAMES)}"
         ) from None
     params = {**defaults, **spec.parameters}
+    extra = [n for n in params if n not in names]
+    if extra:
+        raise ValueError(f"recipe {spec.name!r} does not take parameters {extra}")
     missing = [n for n in names if n not in params]
     if missing:
         raise ValueError(f"recipe {spec.name!r} is missing parameters {missing}")
-    bad = {n: params[n] for n in names if int(params[n]) < 1}
+    bad = {n: params[n] for n in names if type(params[n]) is not int or params[n] < 1}
     if bad:
-        raise ValueError(f"recipe {spec.name!r} needs positive parameters, got {bad}")
-    tree = recipe(*(int(params[n]) for n in names))
+        raise ValueError(f"recipe {spec.name!r} needs positive integer parameters, got {bad}")
+    tree = recipe(*(params[n] for n in names))
     return _certified(_build(tree, cfg), f"recipe {spec.name!r} output", cfg)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any
+from typing import Any, TextIO
 
 import numpy as np
 
@@ -38,9 +38,18 @@ def matrix_to_list(mat: np.ndarray) -> list[list[list[float]]]:
 def matrix_from_list(data: Any) -> np.ndarray:
     # the inverse of matrix_to_list: a matrix, or a (n, d, d') stack at once
     try:  # ragged nesting raises ValueError
-        arr = np.asarray(data, dtype=float)
+        arr = np.asarray(data)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"matrix entries must be [real, imag] pairs: {exc}") from exc
+    if arr.dtype.kind not in "iuf":  # a string, a null, an oversized integer, only booleans
+        raise FileFormatError(f"matrix entries must be numbers, got {arr.dtype} data")
+    # a boolean among numbers is promoted to 0 or 1, so only those entries can hide one
+    for index in np.argwhere((arr == 0) | (arr == 1)).tolist():
+        entry = data
+        for i in index:
+            entry = entry[i]
+        if type(entry) is bool:
+            raise FileFormatError(f"matrix entries must be numbers, got {entry!r}")
     if arr.ndim not in (3, 4) or arr.shape[-1] != 2:
         raise FileFormatError(
             f"matrix must be rows x cols x [real, imag], got shape {arr.shape}"
@@ -99,20 +108,24 @@ def family_set_from_dict(doc: Any) -> FamilySet:
         raise FileFormatError(f"stored set is inconsistent: {exc}") from exc
 
 
-def save_family_set(fs: FamilySet, path: str | os.PathLike) -> None:
-    """Write the bytes of json.dumps(family_set_to_dict(fs)) plus a newline.
+def _write_family_set(fs: FamilySet, fh: TextIO) -> None:
+    """Write the text of json.dumps(family_set_to_dict(fs)) plus a newline.
 
     json.dumps runs the C encoder (json.dump streams through the Python
     one); calling it once per basis keeps only one basis as Python floats.
     """
-    head = json.dumps(_header(fs))
+    fh.write(json.dumps(_header(fs))[:-1] + ', "bases": [')
+    for i, fam in enumerate(fs):
+        if i:
+            fh.write(", ")
+        fh.write(json.dumps(matrix_to_list(fam.elements)))
+    fh.write("]}\n")
+
+
+def save_family_set(fs: FamilySet, path: str | os.PathLike) -> None:
+    _header(fs)  # refuses an empty set before the file is created
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head[:-1] + ', "bases": [')
-        for i, fam in enumerate(fs):
-            if i:
-                fh.write(", ")
-            fh.write(json.dumps(matrix_to_list(fam.elements)))
-        fh.write("]}\n")
+        _write_family_set(fs, fh)
 
 
 def _read_json(path: str | os.PathLike) -> Any:

@@ -1,10 +1,20 @@
+import argparse
+import copy
 import json
 
 import numpy as np
 import pytest
 
-from museb import catalog, load_family_set, save_matrix
-from museb.cli import main
+from museb import (
+    FamilySet,
+    catalog,
+    familyfile,
+    load_family_set,
+    save_family_set,
+    save_matrix,
+    weyl_meb,
+)
+from museb.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -74,6 +84,24 @@ def test_catalog_matrix_stdout_is_the_saved_document(tmp_path, capsys):
     assert out.rstrip("\n") == saved[:-1]
 
 
+def test_family_set_stdout_is_the_saved_document(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "weyl.json"
+    save_family_set(FamilySet((weyl_meb(2, 3),)), path)
+    streams = []
+    writer = familyfile._write_family_set
+    monkeypatch.setattr(familyfile, "_write_family_set",
+                        lambda fs, fh: streams.append(fh) or writer(fs, fh))
+    code, out, _ = run(capsys, "generate", "weyl", "2", "3")
+    assert code == 0 and len(streams) == 1  # the writer behind save_family_set
+    assert out.encode("utf-8") == path.read_bytes()
+
+
+def _with_entry(doc, basis, element, row, col, entry):
+    doc = copy.deepcopy(doc)
+    doc["bases"][basis][element][row][col] = entry
+    return doc
+
+
 @pytest.mark.parametrize("edit", [
     lambda doc: {**doc, "d": float("inf")},
     lambda doc: {**doc, "labels": 5},
@@ -82,8 +110,14 @@ def test_catalog_matrix_stdout_is_the_saved_document(tmp_path, capsys):
     lambda doc: {**doc, "k": "2"},
     lambda doc: {**doc, "k": 2.0},
     lambda doc: {**doc, "k": True},
+    lambda doc: _with_entry(doc, 0, 0, 0, 0, ["0.7071067811865475", False]),
+    lambda doc: _with_entry(doc, 0, 0, 0, 0, [0.7071067811865475, False]),
+    lambda doc: _with_entry(doc, 0, 5, 1, 2, [True, 0.0]),
+    lambda doc: _with_entry(doc, 0, 0, 0, 1, [None, 0.0]),
 ], ids=["d_overflows", "labels_not_a_list", "mixed_matrix_shapes",
-        "k_fractional", "k_string", "k_float", "k_bool"])
+        "k_fractional", "k_string", "k_float", "k_bool",
+        "entry_string_and_false", "entry_false_among_floats", "entry_true_among_floats",
+        "entry_null"])
 def test_verify_malformed_file_exits_2_without_traceback(tmp_path, capsys, edit):
     path = tmp_path / "bad.json"
     run(capsys, "generate", "weyl", "2", "3", "--out", str(path))
@@ -164,6 +198,26 @@ def test_compose_tensor_refuses_uncertified_input(tmp_path, capsys):
     code, _, err = run(capsys, "compose", "tensor", str(a), str(a))
     assert code == 1
     assert "failed certification" in err
+    # both files are read before either is certified
+    code, _, err = run(capsys, "compose", "tensor", str(a), str(tmp_path / "missing.json"))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("compose", "m69", "--d", "7"),
+    ("compose", "m69", "--d", "7", "--k", "5"),
+    ("compose", "cor21k_seb2", "--q", "2"),
+    ("compose", "tensor", "{a}", "{a}", "--k", "2"),
+])
+def test_compose_refuses_parameters_the_recipe_does_not_take(tmp_path, capsys, argv):
+    a = tmp_path / "a.json"
+    run(capsys, "generate", "mub", "2", "--out", str(a))
+    code, out, err = run(capsys, *(arg.format(a=a) for arg in argv))
+    assert code == 2
+    assert err.startswith("error:")
+    assert str([arg[2:] for arg in argv if arg.startswith("--")]) in err
+    assert out == ""
 
 
 def test_compose_out_of_scope_is_exit_2(capsys):
@@ -250,3 +304,70 @@ def test_usage_errors_exit_2(capsys):
     assert main(["generate", "weyl", "two", "3"]) == 2
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+# the optional flags of every leaf command, each one read by the leaf's handler
+LEAF_FLAGS = {
+    ("generate", "weyl"): {"--out"},
+    ("generate", "c23"): {"--tol", "--out"},
+    ("generate", "mub"): {"--out"},
+    ("generate", "catalog"): {"--out"},
+    ("generate", "mumeb-qubit"): {"--out"},
+    ("verify",): {"--tol", "--k"},
+    ("compose",): {"--tol", "--out", "--d", "--dprime", "--p", "--q", "--k"},
+    ("trio",): {"--tol", "--builtin"},
+    ("search", "third-basis"): {"--seed", "--iterations", "--restarts", "--step"},
+    ("search", "closure"): {"--tol", "--seed", "--pairs"},
+}
+
+
+def _leaf_flags(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if subs:
+        for name, child in subs[0].choices.items():
+            yield from _leaf_flags(child, path + (name,))
+    else:
+        yield path, {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+def test_each_leaf_takes_only_the_flags_its_handler_reads():
+    assert dict(_leaf_flags(build_parser())) == LEAF_FLAGS
+    assert sum(len(flags) for flags in LEAF_FLAGS.values()) == 24
+
+
+UNREAD_FLAGS = [
+    (("generate", "weyl", "2", "3"), "--tol"),
+    (("generate", "weyl", "2", "3"), "--seed"),
+    (("generate", "c23", "0", "4.71238898038469"), "--seed"),
+    (("generate", "mub", "5"), "--tol"),
+    (("generate", "mub", "5"), "--seed"),
+    (("generate", "catalog", "S1"), "--tol"),
+    (("generate", "catalog", "S1"), "--seed"),
+    (("generate", "mumeb-qubit"), "--tol"),
+    (("generate", "mumeb-qubit"), "--seed"),
+    (("verify", "{weyl}"), "--out"),
+    (("verify", "{weyl}"), "--seed"),
+    (("compose", "m69"), "--seed"),
+    (("trio", "--builtin"), "--out"),
+    (("trio", "--builtin"), "--seed"),
+    (("search", "closure", "--pairs", "5"), "--out"),
+    (("search", "third-basis", "--iterations", "1", "--restarts", "1"), "--out"),
+    # each search mode refuses the other's flags
+    (("search", "third-basis", "--iterations", "1", "--restarts", "1"), "--tol"),
+    (("search", "third-basis", "--iterations", "1", "--restarts", "1"), "--pairs"),
+    (("search", "closure", "--pairs", "5"), "--iterations"),
+    (("search", "closure", "--pairs", "5"), "--restarts"),
+    (("search", "closure", "--pairs", "5"), "--step"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", UNREAD_FLAGS,
+                         ids=[" ".join(argv[:2]) + f" {flag}" for argv, flag in UNREAD_FLAGS])
+def test_flags_no_handler_reads_are_usage_errors(tmp_path, capsys, argv, flag):
+    weyl = tmp_path / "weyl.json"
+    save_family_set(FamilySet((weyl_meb(2, 3),)), weyl)
+    value = {"--out": str(tmp_path / "out.json"), "--tol": "1e-9", "--step": "0.1"}.get(flag, "1")
+    code, out, err = run(capsys, *(arg.format(weyl=weyl) for arg in argv), flag, value)
+    assert code == 2
+    assert f"unrecognized arguments: {flag}" in err
+    assert out == "" and not (tmp_path / "out.json").exists()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,28 @@ def test_recipe_missing_parameters():
         run_recipe(RecipeSpec("theorem3", {"d": 2}))
     with pytest.raises(ValueError):
         run_recipe(RecipeSpec("theorem3", {"d": 2, "dprime": 3, "p": 0, "q": 2}))
+
+
+@pytest.mark.parametrize("spec, refused", [
+    (RecipeSpec("m69", {"d": 7, "k": 5}), ["d", "k"]),
+    (RecipeSpec("cor21k_seb2", {"q": 3}), ["q"]),
+    (RecipeSpec("theorem3", {"d": 2, "dprime": 3, "p": 3, "q": 3, "k": 1}), ["k"]),
+])
+def test_recipe_names_parameters_it_does_not_take(spec, refused):
+    with pytest.raises(ValueError, match=re.escape(f"does not take parameters {refused}")):
+        run_recipe(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    RecipeSpec("cor21k_seb2", {"k": 2.7}),
+    RecipeSpec("cor21k_seb2", {"k": True}),
+    RecipeSpec("cor21k_seb2", {"k": "2"}),
+    RecipeSpec("theorem3", {"d": 2, "dprime": 3, "p": 2.0, "q": 3}),
+], ids=["k_fractional", "k_bool", "k_string", "p_float"])
+def test_recipe_parameters_must_be_ints(spec):
+    # the museb-1 header's rule: never coerced, so 2.7 and True cannot build k = 2 or 1
+    with pytest.raises(ValueError, match="positive integer parameters"):
+        run_recipe(spec)
 
 
 def test_recipe_out_of_scope_parameters_are_refused_loudly():

@@ -89,6 +89,26 @@ def test_malformed_documents_are_rejected():
         with pytest.raises(FileFormatError, match=f"{key} must be an integer"):
             family_set_from_dict(doc)
 
+    # entries are JSON numbers: a string, boolean or null anywhere in one is
+    # refused, a boolean among floats (which numpy would read as 0 or 1) too
+    re0 = family_set_to_dict(r_set())["bases"][0][0][0][0][0]
+    for at, entry in [((0, 0, 0, 0), [repr(re0), False]), ((0, 0, 0, 0), [re0, "0.0"]),
+                      ((0, 0, 0, 0), [re0, False]), ((1, 5, 1, 2), [True, 0.0]),
+                      ((1, 2, 0, 1), [0.5, True]), ((0, 3, 1, 0), [None, 0.0]),
+                      ((0, 3, 1, 0), [0.0, None]), ((0, 0, 0, 0), [True, False])]:
+        doc = family_set_to_dict(r_set())
+        basis, element, row, col = at
+        doc["bases"][basis][element][row][col] = entry
+        with pytest.raises(FileFormatError, match="entries must be numbers"):
+            family_set_from_dict(doc)
+
+
+def test_empty_set_is_refused_before_the_file_exists(tmp_path):
+    path = tmp_path / "empty.json"
+    with pytest.raises(FileFormatError, match="empty family set"):
+        save_family_set(FamilySet(()), path)
+    assert not path.exists()
+
 
 def test_truncated_json_file(tmp_path):
     path = tmp_path / "broken.json"
@@ -124,6 +144,10 @@ def test_matrix_rejects_malformed(tmp_path):
     path.write_text(json.dumps({"matrix": [[[[1.0, 0.0]]]]}))  # a stack, not one matrix
     with pytest.raises(FileFormatError):
         load_matrix(path)
+    for entry in (["1.0", 0.0], [1.0, False], [None, 0.0]):
+        path.write_text(json.dumps([[[0.0, 1.0], entry], [[0.0, 1.0], [1.0, 0.0]]]))
+        with pytest.raises(FileFormatError, match="entries must be numbers"):
+            load_matrix(path)
 
 
 # sha256 of the files the original per-entry writer produced; any writer
