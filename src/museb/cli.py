@@ -169,7 +169,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     # one-flag parent parsers: each leaf takes only the flags its handler reads
     tol, out, seed = (argparse.ArgumentParser(add_help=False) for _ in range(3))
-    tol.add_argument("--tol", type=float, default=1e-9, help="certification tolerance")
+    tol.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance")
     out.add_argument("--out", default=None, help="write output to this path")
     seed.add_argument("--seed", type=int, default=0, help="seed for the random draws")
     parser = argparse.ArgumentParser(
@@ -234,6 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # search flags may stand before the mode; argparse wants the mode first
+    modes = [i for i, arg in enumerate(argv) if arg in ("third-basis", "closure")]
+    if argv[:1] == ["search"] and modes:
+        argv.insert(1, argv.pop(modes[0]))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -59,7 +59,7 @@ class NotCHM(MusebError):
 
 
 class VerificationFailed(MusebError):
-    """An internally assembled witness did not certify; indicates a bug."""
+    """A family set failed certification: a bug if built here, a bad input if loaded."""
 
 
 class FileFormatError(MusebError):

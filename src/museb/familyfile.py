@@ -7,6 +7,7 @@ save/load cycle reproduces arrays bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from typing import Any, TextIO
@@ -38,22 +39,20 @@ def matrix_to_list(mat: np.ndarray) -> list[list[list[float]]]:
 def matrix_from_list(data: Any) -> np.ndarray:
     # the inverse of matrix_to_list: a matrix, or a (n, d, d') stack at once
     try:  # ragged nesting raises ValueError
-        arr = np.asarray(data)
+        arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"matrix entries must be [real, imag] pairs: {exc}") from exc
-    if arr.dtype.kind not in "iuf":  # a string, a null, an oversized integer, only booleans
-        raise FileFormatError(f"matrix entries must be numbers, got {arr.dtype} data")
-    # a boolean among numbers is promoted to 0 or 1, so only those entries can hide one
-    for index in np.argwhere((arr == 0) | (arr == 1)).tolist():
-        entry = data
-        for i in index:
-            entry = entry[i]
-        if type(entry) is bool:
-            raise FileFormatError(f"matrix entries must be numbers, got {entry!r}")
     if arr.ndim not in (3, 4) or arr.shape[-1] != 2:
         raise FileFormatError(
             f"matrix must be rows x cols x [real, imag], got shape {arr.shape}"
         )
+    # float() takes numeric strings, null (as nan) and booleans, so check every type
+    scalars = data
+    for _ in range(arr.ndim - 1):
+        scalars = itertools.chain.from_iterable(scalars)
+    if not (kinds := set(map(type, scalars))) <= {float, int}:
+        names = ", ".join(sorted(t.__name__ for t in kinds - {float, int}))
+        raise FileFormatError(f"matrix entries must be numbers, got {names}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

@@ -300,6 +300,20 @@ def test_search_third_basis_deterministic_output(capsys):
     assert "converged_to_zero: false" in out_a
 
 
+@pytest.mark.parametrize("before, after", [
+    (("search", "--seed", "1", "--iterations", "20", "third-basis", "--restarts", "1"),
+     ("search", "third-basis", "--seed", "1", "--iterations", "20", "--restarts", "1")),
+    (("search", "--pairs", "30", "--seed", "3", "--tol", "1e-6", "closure"),
+     ("search", "closure", "--pairs", "30", "--seed", "3", "--tol", "1e-6")),
+])
+def test_search_flags_may_precede_the_mode(capsys, before, after):
+    assert run(capsys, *before) == run(capsys, *after)
+    assert run(capsys, *before)[0] == 0
+    # the mode still refuses a flag it does not read, wherever the flag stands
+    code, _, err = run(capsys, "search", "--pairs", "5", "third-basis")
+    assert code == 2 and "unrecognized arguments: --pairs" in err
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["generate", "weyl", "two", "3"]) == 2
     assert main(["no-such-command"]) == 2

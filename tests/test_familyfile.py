@@ -21,6 +21,7 @@ from museb import (
     run_recipe,
     save_family_set,
     save_matrix,
+    weyl_meb,
 )
 from museb.familyfile import matrix_to_list
 
@@ -102,6 +103,13 @@ def test_malformed_documents_are_rejected():
         with pytest.raises(FileFormatError, match="entries must be numbers"):
             family_set_from_dict(doc)
 
+    # a Weyl basis is mostly exact zeros; a false among them is found too
+    doc = family_set_to_dict(FamilySet((weyl_meb(3, 4),)))
+    assert doc["bases"][0][5][2][0] == [0.0, 0.0]
+    doc["bases"][0][5][2][0] = [0.0, False]
+    with pytest.raises(FileFormatError, match="entries must be numbers, got bool"):
+        family_set_from_dict(doc)
+
 
 def test_empty_set_is_refused_before_the_file_exists(tmp_path):
     path = tmp_path / "empty.json"
@@ -131,6 +139,8 @@ def test_matrix_accepts_bare_nested_lists(tmp_path):
     path.write_text(json.dumps([[[1.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [1.0, 0.0]]]))
     mat = load_matrix(path)
     assert np.array_equal(mat, np.array([[1.0, 1j], [-1j, 1.0]]))
+    path.write_text(json.dumps([[[1, 0], [0, 1]], [[0, -1], [1, 0]]]))  # JSON integers
+    assert np.array_equal(load_matrix(path), mat)
 
 
 def test_matrix_rejects_malformed(tmp_path):
