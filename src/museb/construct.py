@@ -23,7 +23,7 @@ from .errors import (
     UnknownName,
 )
 from .matspace import as_matrix
-from .verify import BasisFamily, FamilySet
+from .verify import BasisFamily, FamilySet, _check_tol
 
 __all__ = [
     "ThetaParams",
@@ -66,10 +66,7 @@ class ThetaParams:
 
     def residual(self) -> float:
         """Distance of theta2 + theta3 - 2*theta1 from the admissible value, mod 2*pi."""
-        r = (self.theta2 + self.theta3 - 2.0 * self.theta1 - _ADMISSIBLE_RESIDUE) % (
-            2.0 * np.pi
-        )
-        return float(min(r, 2.0 * np.pi - r))
+        return float(_residual(self.theta1, self.theta2, self.theta3))
 
     def is_admissible(self, tol: float = 1e-9) -> bool:
         return self.residual() <= tol
@@ -77,7 +74,30 @@ class ThetaParams:
 
 def solve_theta(theta1: float, theta2: float) -> float:
     """The unique theta3 in [0, 2*pi) making (theta1, theta2, theta3) admissible."""
-    return float((_ADMISSIBLE_RESIDUE + 2.0 * theta1 - theta2) % (2.0 * np.pi))
+    return float(_theta3(theta1, theta2))
+
+
+# The phase formulas below act elementwise, on floats and on arrays alike, so
+# the scalar API above and the batched closure probes share one arithmetic.
+
+def _residual(t1, t2, t3):
+    r = (t2 + t3 - 2.0 * t1 - _ADMISSIBLE_RESIDUE) % (2.0 * np.pi)
+    return np.minimum(r, 2.0 * np.pi - r)
+
+
+def _theta3(t1, t2):
+    return (_ADMISSIBLE_RESIDUE + 2.0 * t1 - t2) % (2.0 * np.pi)
+
+
+def _mixers(t1, t2, t3) -> np.ndarray:
+    # stack of theta_mixing_matrix over the broadcast phases, shape (..., 2, 2)
+    m = np.empty(np.shape(t1) + (2, 2), dtype=complex)
+    m[..., 0, 0] = np.exp(1j * t1)
+    m[..., 0, 1] = _S2 * np.exp(1j * t2)
+    m[..., 1, 0] = _S2 * np.exp(1j * t3)
+    m[..., 1, 1] = np.exp(1j * (t1 + np.pi / 2))
+    m /= _S3
+    return m
 
 
 def is_prime(n: int) -> bool:
@@ -142,14 +162,15 @@ def theta_mixing_matrix(theta: ThetaParams) -> np.ndarray:
 
     It is unitary exactly when theta is admissible.
     """
-    t1, t2, t3 = theta.theta1, theta.theta2, theta.theta3
-    return np.array(
-        [
-            [np.exp(1j * t1), _S2 * np.exp(1j * t2)],
-            [_S2 * np.exp(1j * t3), np.exp(1j * (t1 + np.pi / 2))],
-        ],
-        dtype=complex,
-    ) / _S3
+    return _mixers(theta.theta1, theta.theta2, theta.theta3)
+
+
+def _c23_elements(mixer) -> np.ndarray:
+    # the one (2, 3) formula: element i is mixer.T @ weyl_meb(2, 3)[i]
+    a = as_matrix(mixer)
+    if a.shape != (2, 2):
+        raise ValueError(f"mixer must be 2x2, got {a.shape}")
+    return a.T @ _W23
 
 
 def c23_family(mixer, label: str = "") -> BasisFamily:
@@ -159,10 +180,7 @@ def c23_family(mixer, label: str = "") -> BasisFamily:
     the Weyl basis itself.  The result is orthonormal exactly when the
     mixer is unitary.
     """
-    a = as_matrix(mixer)
-    if a.shape != (2, 2):
-        raise ValueError(f"mixer must be 2x2, got {a.shape}")
-    return BasisFamily(d=2, dprime=3, k=2, elements=a.T @ _W23, label=label)
+    return BasisFamily(d=2, dprime=3, k=2, elements=_c23_elements(mixer), label=label)
 
 
 def c23_partner(theta: ThetaParams, tol: float = 1e-9) -> tuple[BasisFamily, BasisFamily]:
@@ -170,8 +188,10 @@ def c23_partner(theta: ThetaParams, tol: float = 1e-9) -> tuple[BasisFamily, Bas
 
     Returns (phi, psi) where phi is weyl_meb(2, 3) and psi is the partner
     determined by the phase triple.  Raises NotAdmissible when the phases
-    violate the admissibility constraint by more than tol radians.
+    violate the admissibility constraint by more than tol radians; tol
+    must sit in VerifyConfig's range [0, 1e-3).
     """
+    _check_tol("tol", tol)
     if not theta.is_admissible(tol):
         raise NotAdmissible(
             "theta2 + theta3 - 2*theta1 must equal 3*pi/2 mod 2*pi; "

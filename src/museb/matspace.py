@@ -31,7 +31,7 @@ def as_matrix(data: Any) -> np.ndarray:
     arr = np.asarray(data, dtype=complex)
     if arr.ndim != 2:
         raise ShapeMismatch(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    if arr.size and not np.all(np.isfinite(arr.real) & np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     return arr
 

@@ -3,24 +3,26 @@
 Two experiments live here.  closure_failure_probe multiplies the mixing
 matrices of two admissible phase triples and measures how far the product
 falls outside the admissible family, so sweeps can confirm that the family
-is never closed under products.  third_basis_search runs a seeded greedy
-descent over 2x2 unitaries looking for a mixing matrix whose basis would
-be unbiased to both frozen partners at once; it reports the best penalty
-found and never claims existence, only what the descent reached.
+is never closed under products.  Both run on one array kernel; the sweep
+feeds it fixed blocks of random pairs, so its memory does not grow with
+the number of pairs.  third_basis_search runs a seeded greedy descent over
+2x2 unitaries looking for a mixing matrix whose basis would be unbiased to
+both frozen partners at once; it reports the best penalty found and never
+claims existence, only what the descent reached.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.linalg import expm, polar
 
-from .construct import ThetaParams, c23_family, catalog, solve_theta, theta_mixing_matrix
+from .construct import ThetaParams, _c23_elements, _mixers, _residual, _theta3, catalog
 from .errors import NotAdmissible
-from .matspace import as_matrix
-from .verify import BasisFamily, _overlap_gram
+from .verify import BasisFamily, _check_tol, _overlap_gram
 
 __all__ = [
     "SearchConfig",
@@ -33,8 +35,11 @@ __all__ = [
     "third_basis_search",
 ]
 
-_S3 = np.sqrt(3.0)
 _CONVERGENCE_EPS = 1e-8
+# the entry moduli every admissible mixer shares
+_PATTERN = np.array([[1.0, np.sqrt(2.0)], [np.sqrt(2.0), 1.0]]) / np.sqrt(3.0)
+# pairs per closure_sweep draw; bounds the sweep's memory
+_SWEEP_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -91,17 +96,43 @@ def unbiasedness_penalty(w, targets=None) -> float:
 
     The candidate 2x2 matrix is expanded into its basis of C^2 (x) C^3 and
     compared against each target family; a perfect third basis would score
-    exactly zero.  Invariant under a global phase on w.
+    exactly zero.  Invariant under a global phase on w.  Raises ValueError
+    when w has a non-finite entry, or entries so large that the overlaps
+    overflow.
     """
-    fam = c23_family(as_matrix(w))
+    elements = _c23_elements(w)
     if targets is None:
         targets = _default_targets()
     goal = 1.0 / np.sqrt(6.0)
     pen = 0.0
     for t in targets:
-        mags = np.abs(_overlap_gram(fam.elements, t.elements))
-        pen += float(np.sum((mags - goal) ** 2))
+        mags = np.abs(_overlap_gram(elements, t.elements))
+        pen += float(((mags - goal) ** 2).sum())
+    if not math.isfinite(pen):
+        raise ValueError(f"penalty overflows to {pen}: mixer entries are too large")
     return pen
+
+
+def _closure_deviations(thetas: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Modulus and phase deviations of the products of stacked mixer pairs.
+
+    thetas has shape (n, 2, 3): pair i multiplies the mixer of the triple
+    thetas[i, 0] by that of thetas[i, 1].  Raises NotAdmissible for the
+    first triple, in row-major order, off the admissible set by more than tol.
+    """
+    t1, t2, t3 = np.moveaxis(thetas, -1, 0)
+    residual = _residual(t1, t2, t3).reshape(-1)
+    bad = np.flatnonzero(residual > tol)
+    if bad.size:
+        raise NotAdmissible(
+            f"probe needs admissible triples; off by {residual[bad[0]]:.3e} rad"
+        )
+    mixers = _mixers(t1, t2, t3)
+    prod = mixers[:, 0] @ mixers[:, 1]
+    modulus_dev = np.max(np.abs(np.abs(prod) - _PATTERN), axis=(1, 2))
+    delta = np.angle(prod[:, 1, 1]) - np.angle(prod[:, 0, 0]) - np.pi / 2.0
+    delta = (delta + np.pi) % (2.0 * np.pi) - np.pi
+    return modulus_dev, np.abs(delta)
 
 
 def closure_failure_probe(
@@ -111,20 +142,12 @@ def closure_failure_probe(
 
     The product must reproduce the fixed entry-modulus pattern and the
     quarter-turn phase relation between its diagonal entries to stay
-    inside; whichever condition fails worse is reported.
+    inside; whichever condition fails worse is reported.  tol must sit in
+    VerifyConfig's range [0, 1e-3).
     """
-    for t in (ta, tb):
-        if not t.is_admissible(tol):
-            raise NotAdmissible(f"probe needs admissible triples; off by {t.residual():.3e} rad")
-    prod = theta_mixing_matrix(ta) @ theta_mixing_matrix(tb)
-
-    pattern = np.array([[1.0, np.sqrt(2.0)], [np.sqrt(2.0), 1.0]]) / _S3
-    modulus_dev = float(np.max(np.abs(np.abs(prod) - pattern)))
-
-    delta = np.angle(prod[1, 1]) - np.angle(prod[0, 0]) - np.pi / 2.0
-    delta = (delta + np.pi) % (2.0 * np.pi) - np.pi
-    phase_dev = float(abs(delta))
-
+    _check_tol("tol", tol)
+    thetas = np.array([[astuple(ta), astuple(tb)]])
+    modulus_dev, phase_dev = (float(dev[0]) for dev in _closure_deviations(thetas, tol))
     if modulus_dev > tol:
         violated = "entry_moduli"
     elif phase_dev > tol:
@@ -136,20 +159,31 @@ def closure_failure_probe(
     )
 
 
+def _sweep_deviations(pairs: int, seed: int, tol: float):
+    # Per block of pairs, the kernel's deviations.  Each pair draws (theta1,
+    # theta2) for its first triple and then for its second, and solves for
+    # theta3, so the draws follow one PCG64 stream whatever the block size.
+    rng = np.random.default_rng(seed)
+    for start in range(0, pairs, _SWEEP_BLOCK):
+        draws = rng.uniform(0.0, 2.0 * np.pi, size=(min(_SWEEP_BLOCK, pairs - start), 2, 2))
+        t1, t2 = draws[..., 0], draws[..., 1]
+        yield _closure_deviations(np.stack([t1, t2, _theta3(t1, t2)], axis=-1), tol)
+
+
 def closure_sweep(pairs: int, seed: int = 0, tol: float = 1e-9) -> ClosureSweep:
-    """Probe many random admissible pairs and count how often closure fails."""
+    """Probe many random admissible pairs and count how often closure fails.
+
+    A pair fails as closure_failure_probe would report it: either deviation
+    exceeds tol.  The pairs are probed in fixed blocks, so memory stays flat
+    as pairs grows.
+    """
+    _check_tol("tol", tol)
     if pairs < 1:
         raise ValueError("pairs must be positive")
-    rng = np.random.default_rng(seed)
-    failures = 0
-    for _ in range(pairs):
-        triples = []
-        for _ in range(2):
-            t1, t2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
-            triples.append(ThetaParams(t1, t2, solve_theta(t1, t2)))
-        finding = closure_failure_probe(triples[0], triples[1], tol)
-        if finding.violated is not None:
-            failures += 1
+    failures = sum(
+        int(np.count_nonzero((modulus_dev > tol) | (phase_dev > tol)))
+        for modulus_dev, phase_dev in _sweep_deviations(pairs, seed, tol)
+    )
     return ClosureSweep(pairs=pairs, failures=failures)
 
 

@@ -50,9 +50,13 @@ class VerifyConfig:
 
     def __post_init__(self) -> None:
         for name in ("tol_abs", "tol_overlap"):
-            tol = getattr(self, name)
-            if not (0.0 <= tol < 1e-3):
-                raise ValueError(f"{name} must sit in [0, 1e-3), got {tol}")
+            _check_tol(name, getattr(self, name))
+
+
+def _check_tol(name: str, tol: float) -> None:
+    """The one tolerance rule: [0, 1e-3), shared by VerifyConfig and the probes."""
+    if not (0.0 <= tol < 1e-3):
+        raise ValueError(f"{name} must sit in [0, 1e-3), got {tol}")
 
 
 # (family_i, family_j, element_i, element_j, measured value)

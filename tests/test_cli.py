@@ -1,5 +1,6 @@
 import argparse
 import copy
+import hashlib
 import json
 
 import numpy as np
@@ -288,6 +289,43 @@ def test_search_closure_reports_all_failures(capsys):
     code, out, _ = run(capsys, "search", "closure", "--pairs", "50", "--seed", "7")
     assert code == 0
     assert "closure failures: 50/50" in out
+
+
+# sha256 of the stdout of the per-pair scalar probe path, before batching
+SEARCH_STDOUT_SHA256 = {
+    ("search", "third-basis", "--seed", "0"):
+        "6123edc62a5106c27b55460f9814169e8b5006dd267cd2ffe75624e9baabce48",
+    ("search", "third-basis", "--seed", "1"):
+        "79cd8219ed22c1d7ef277440aac037c3442cd29fb6dea7082685ddc9f0c7aa45",
+    ("search", "third-basis", "--seed", "2"):
+        "9fe8ddd6a13ba1c901cb3677ec7a1efcc069c8f58410463c7406cf16991633de",
+    ("search", "third-basis", "--seed", "3"):
+        "3b5ddb8628087481e1c2568f3303fae091272cedf3a2eb7dd0a6a36758d23c3e",
+    ("search", "closure", "--pairs", "10000", "--seed", "0"):
+        "6d5111e5ebbfdb56a206527f162d1d973f46ca9a8226c95cd06b8a1123d4f7f8",
+    ("search", "closure", "--pairs", "200", "--seed", "0", "--tol", "1e-6"):
+        "8528c6deec0a1b303f74d947d7fe0817226ad975f5e16082044d9e508d2369f1",
+    ("generate", "c23", "0", "4.71238898038469", "--tol", "1e-6"):
+        "7f4bf4694d2be12d3f9c12bff531a68695e6cdd37b370497e4c09f7e676eb98c",
+}
+
+
+@pytest.mark.parametrize("argv", list(SEARCH_STDOUT_SHA256))
+def test_probe_stdout_is_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_STDOUT_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "closure", "--pairs", "200", "--seed", "0", "--tol", "1"),
+    ("generate", "c23", "0", "4.71238898038469", "0.5", "--tol", "1"),
+    ("generate", "c23", "0", "4.71238898038469", "--tol=-1e-9"),
+])
+def test_tol_outside_the_verify_range_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: tol must sit in [0, 1e-3)")
 
 
 def test_search_third_basis_deterministic_output(capsys):

@@ -152,6 +152,34 @@ def test_partner_rejects_inadmissible_angles():
         c23_partner(ThetaParams(0.3, 0.3, 0.3))
 
 
+def test_partner_holds_tol_to_the_verify_range():
+    theta = ThetaParams(0.0, 1.5 * PI, 0.0)
+    for tol in (1.0, 1e-3, -1e-12):
+        with pytest.raises(ValueError, match=r"tol must sit in \[0, 1e-3\)"):
+            c23_partner(theta, tol=tol)
+    assert c23_partner(theta, tol=0.0)[1].label == "c23(0,4.71239,0)"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=3, max_size=3))
+def test_phase_formulas_match_their_scalar_forms(angles):
+    # the scalar arithmetic these functions used before they were shared
+    # with the batched closure probes; equal bit for bit
+    t1, t2, t3 = angles
+    theta = ThetaParams(t1, t2, t3)
+    r = (t2 + t3 - 2.0 * t1 - 1.5 * PI) % (2.0 * PI)
+    assert theta.residual() == float(min(r, 2.0 * PI - r))
+    assert solve_theta(t1, t2) == float((1.5 * PI + 2.0 * t1 - t2) % (2.0 * PI))
+    want = np.array(
+        [
+            [np.exp(1j * t1), np.sqrt(2.0) * np.exp(1j * t2)],
+            [np.sqrt(2.0) * np.exp(1j * t3), np.exp(1j * (t1 + PI / 2))],
+        ],
+        dtype=complex,
+    ) / np.sqrt(3.0)
+    assert theta_mixing_matrix(theta).tobytes() == want.tobytes()
+
+
 def test_solve_theta_always_lands_admissible():
     rng = np.random.default_rng(23)
     for _ in range(50):

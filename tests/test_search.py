@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from museb import (
     NotAdmissible,
     SearchConfig,
+    ShapeMismatch,
     ThetaParams,
+    c23_family,
     catalog,
     closure_failure_probe,
     closure_sweep,
@@ -13,6 +19,8 @@ from museb import (
     third_basis_search,
     unbiasedness_penalty,
 )
+from museb.search import _SWEEP_BLOCK, _closure_deviations, _sweep_deviations
+from museb.verify import _overlap_gram
 
 REFERENCE = ThetaParams(0.0, 1.5 * np.pi, 0.0)
 
@@ -108,3 +116,139 @@ def test_search_config_validation():
 def test_sweep_validates_pairs():
     with pytest.raises(ValueError):
         closure_sweep(0)
+
+
+# ---------------------------------------------------------------------------
+# the batched probe path against the per-pair scalar loop it replaced
+# ---------------------------------------------------------------------------
+
+PATTERN = np.array([[1.0, np.sqrt(2.0)], [np.sqrt(2.0), 1.0]]) / np.sqrt(3.0)
+
+
+def scalar_sweep_deviations(pairs, seed):
+    # one pair at a time, as closure_sweep drew and probed before batching
+    rng = np.random.default_rng(seed)
+    modulus, phase = [], []
+    for _ in range(pairs):
+        triples = []
+        for _ in range(2):
+            t1, t2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
+            triples.append(ThetaParams(t1, t2, solve_theta(t1, t2)))
+        prod = theta_mixing_matrix(triples[0]) @ theta_mixing_matrix(triples[1])
+        modulus.append(float(np.max(np.abs(np.abs(prod) - PATTERN))))
+        delta = np.angle(prod[1, 1]) - np.angle(prod[0, 0]) - np.pi / 2.0
+        delta = (delta + np.pi) % (2.0 * np.pi) - np.pi
+        phase.append(float(abs(delta)))
+    return np.array(modulus), np.array(phase)
+
+
+@pytest.mark.parametrize("pairs, seed", [
+    (1, 0),
+    (_SWEEP_BLOCK - 1, 1),
+    (_SWEEP_BLOCK, 2),
+    (_SWEEP_BLOCK + 1, 3),
+    (10_000, 4),
+])
+def test_sweep_deviations_bit_identical_to_scalar_loop(pairs, seed):
+    blocks = list(_sweep_deviations(pairs, seed, 1e-9))
+    assert [len(m) for m, _ in blocks] == [
+        min(_SWEEP_BLOCK, pairs - start) for start in range(0, pairs, _SWEEP_BLOCK)
+    ]
+    modulus = np.concatenate([m for m, _ in blocks])
+    phase = np.concatenate([p for _, p in blocks])
+    want_modulus, want_phase = scalar_sweep_deviations(pairs, seed)
+    assert np.array_equal(modulus, want_modulus)
+    assert np.array_equal(phase, want_phase)
+    failures = np.count_nonzero((want_modulus > 1e-9) | (want_phase > 1e-9))
+    assert closure_sweep(pairs, seed=seed).failures == failures == pairs
+
+
+def test_probe_fields_match_the_scalar_formula():
+    rng = np.random.default_rng(23)
+    for (a1, a2), (b1, b2) in rng.uniform(0.0, 2.0 * np.pi, size=(50, 2, 2)):
+        ta = ThetaParams(a1, a2, solve_theta(a1, a2))
+        tb = ThetaParams(b1, b2, solve_theta(b1, b2))
+        prod = theta_mixing_matrix(ta) @ theta_mixing_matrix(tb)
+        delta = np.angle(prod[1, 1]) - np.angle(prod[0, 0]) - np.pi / 2.0
+        finding = closure_failure_probe(ta, tb)
+        assert finding.modulus_deviation == float(np.max(np.abs(np.abs(prod) - PATTERN)))
+        assert finding.phase_deviation == float(abs((delta + np.pi) % (2.0 * np.pi) - np.pi))
+        assert finding.violated == "entry_moduli"
+
+
+def test_kernel_reports_first_inadmissible_triple_in_row_major_order():
+    good = (0.0, 1.5 * np.pi, 0.0)
+    thetas = np.array([[good, good], [good, (0.0, 0.0, 0.2)], [(0.0, 0.0, 0.1), good]])
+    with pytest.raises(NotAdmissible, match=r"off by 1\.771e\+00 rad"):
+        _closure_deviations(thetas, 1e-9)
+
+
+@pytest.mark.parametrize("tol, message", [
+    (0.0, "probe needs admissible triples; off by 8.882e-16 rad"),
+    (1e-15, "probe needs admissible triples; off by 1.776e-15 rad"),
+])
+def test_sweep_at_rounding_tolerance_reports_first_inadmissible_draw(tol, message):
+    # solve_theta leaves a residual of a few ulps, so a tolerance at or
+    # below rounding refuses the first such triple in draw order
+    with pytest.raises(NotAdmissible) as excinfo:
+        closure_sweep(200, seed=0, tol=tol)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("tol", [1.0, 1e-3, -1e-12, float("nan")])
+def test_probes_hold_tol_to_the_verify_range(tol):
+    with pytest.raises(ValueError, match=r"tol must sit in \[0, 1e-3\)"):
+        closure_sweep(10, tol=tol)
+    with pytest.raises(ValueError, match=r"tol must sit in \[0, 1e-3\)"):
+        closure_failure_probe(REFERENCE, REFERENCE, tol=tol)
+
+
+def test_sweep_memory_does_not_grow_with_pairs():
+    def peak(pairs):
+        tracemalloc.start()
+        try:
+            closure_sweep(pairs, seed=9)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a full block overlaps the previous block's two result arrays (16 KiB);
+    # one unblocked pass over 200,000 pairs would hold tens of MB
+    small, large = peak(5_000), peak(200_000)
+    assert large <= small + 64 * 1024
+
+
+def reference_penalty(w):
+    # the penalty computed through a validated BasisFamily
+    fam = c23_family(w)
+    goal = 1.0 / np.sqrt(6.0)
+    pen = 0.0
+    for t in (catalog("eq16"), catalog("eq17")):
+        mags = np.abs(_overlap_gram(fam.elements, t.elements))
+        pen += float(np.sum((mags - goal) ** 2))
+    return pen
+
+
+entries = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(entries, min_size=8, max_size=8))
+def test_penalty_equals_the_basis_family_reference(parts):
+    w = (np.array(parts[:4]) + 1j * np.array(parts[4:])).reshape(2, 2)
+    assert unbiasedness_penalty(w) == reference_penalty(w)
+
+
+@pytest.mark.parametrize("w, error", [
+    (np.eye(3), ValueError),
+    (np.ones(2), ShapeMismatch),
+    (np.ones((2, 2, 2)), ShapeMismatch),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), ValueError),
+    (np.array([[1.0, 0.0], [0.0, np.inf]]), ValueError),
+    (np.array([[1.0, 0.0], [complex(0.0, -np.inf), 1.0]]), ValueError),
+    # finite entries whose overlaps overflow: the penalty would be inf
+    (np.full((2, 2), 1e200), ValueError),
+])
+def test_penalty_keeps_every_input_check(w, error):
+    with np.errstate(over="ignore"), pytest.raises(error):
+        unbiasedness_penalty(w)
