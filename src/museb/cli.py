@@ -16,13 +16,9 @@ import numpy as np
 from . import compose, construct, familyfile, search, trio
 from .errors import MusebError, VerificationFailed
 from .matspace import is_unitary
-from .verify import BasisFamily, FamilySet, VerifyConfig, check_museb_set
+from .verify import BasisFamily, FamilySet, check_museb_set
 
 _RECIPE_PARAMETERS = ("d", "dprime", "p", "q", "k")
-
-
-def _verify_config(args: argparse.Namespace) -> VerifyConfig:
-    return VerifyConfig(tol_abs=args.tol, tol_overlap=args.tol)
 
 
 def _emit_family_set(fs: FamilySet, out: str | None) -> None:
@@ -76,7 +72,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     fs = familyfile.load_family_set(args.path)
     if args.k is not None:
         fs = FamilySet(tuple(dataclasses.replace(f, k=args.k) for f in fs))
-    report = check_museb_set(fs, _verify_config(args))
+    report = check_museb_set(fs, args.tol)
     print(f"witness_count: {fs.witness_count}")
     print(f"dims: {fs.d} x {fs.dprime}, k={fs.k}")
     print(f"checks_run: {report.checks_run}")
@@ -88,12 +84,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
-    cfg = _verify_config(args)
     params = {key: v for key in _RECIPE_PARAMETERS if (v := getattr(args, key)) is not None}
     if args.recipe != "tensor":
         if args.inputs:
             raise ValueError(f"recipe {args.recipe!r} takes parameters, not input files")
-        result = compose.run_recipe(compose.RecipeSpec(args.recipe, params), cfg)
+        result = compose.run_recipe(compose.RecipeSpec(args.recipe, params), args.tol)
     else:
         if len(args.inputs) != 2:
             raise ValueError("compose tensor needs exactly two input files")
@@ -101,9 +96,10 @@ def _cmd_compose(args: argparse.Namespace) -> int:
             raise ValueError(f"compose tensor takes input files, not parameters {list(params)}")
         left, right = (familyfile.load_family_set(path) for path in args.inputs)
         try:
-            left = compose._certified(left, "left input", cfg)
-            right = compose._certified(right, "right input", cfg)
-            result = compose._certified(compose.tensor_families(left, right), "composed set", cfg)
+            left = compose._certified(left, "left input", args.tol)
+            right = compose._certified(right, "right input", args.tol)
+            product = compose.tensor_families(left, right)
+            result = compose._certified(product, "composed set", args.tol)
         except VerificationFailed as exc:
             print(exc, file=sys.stderr)
             return 1
@@ -112,7 +108,6 @@ def _cmd_compose(args: argparse.Namespace) -> int:
 
 
 def _cmd_trio(args: argparse.Namespace) -> int:
-    cfg = _verify_config(args)
     if args.builtin:
         if args.paths:
             raise ValueError("--builtin takes no input files")
@@ -123,19 +118,19 @@ def _cmd_trio(args: argparse.Namespace) -> int:
         u = familyfile.load_matrix(args.paths[0])
         v = familyfile.load_matrix(args.paths[1])
         for name, mat in (("first", u), ("second", v)):
-            if not is_unitary(mat, cfg):
+            if not is_unitary(mat, args.tol):
                 raise MusebError(f"{name} input matrix is not unitary")
         w = u.conj().T @ v
     else:
         raise ValueError("trio needs --builtin, one matrix file, or two basis files")
 
-    chm = trio.is_chm(w, cfg)
+    chm = trio.is_chm(w, args.tol)
     print(f"is_chm: {'true' if chm else 'false'}")
     if not chm:
         print("input does not define a mutually unbiased pair with flat overlaps",
               file=sys.stderr)
         return 2
-    finding = trio.dephased_obstruction(w, cfg)
+    finding = trio.dephased_obstruction(w, args.tol)
     print(f"obstructed: {'true' if finding.obstructed else 'false'}")
     if finding.obstructed:
         print(f"on_transpose: {'true' if finding.on_transpose else 'false'}")

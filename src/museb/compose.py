@@ -22,7 +22,8 @@ import numpy as np
 
 from .construct import catalog, factorize, mub_composite, mumeb_qubit
 from .errors import EmptyInput, UnsupportedParameters, VerificationFailed
-from .verify import BasisFamily, FamilySet, VerifyConfig, check_museb_set
+from .matspace import _check_tol
+from .verify import BasisFamily, FamilySet, check_museb_set
 
 __all__ = [
     "RecipeSpec",
@@ -140,8 +141,8 @@ def _known_set(d: int, dprime: int) -> FamilySet:
     )
 
 
-def _certified(fs: FamilySet, what: str, cfg: VerifyConfig) -> FamilySet:
-    report = check_museb_set(fs, cfg)
+def _certified(fs: FamilySet, what: str, tol: float) -> FamilySet:
+    report = check_museb_set(fs, tol)
     if not report.passed:
         raise VerificationFailed(
             f"{what} failed certification with worst violation {report.worst_violation:.3e}"
@@ -156,11 +157,11 @@ def _certified(fs: FamilySet, what: str, cfg: VerifyConfig) -> FamilySet:
 Tree = Any
 
 
-def _build(tree: Tree, cfg: VerifyConfig) -> FamilySet:
+def _build(tree: Tree, tol: float) -> FamilySet:
     """Evaluate a recipe tree, certifying every proper subtree before using it."""
     if isinstance(tree[0], int):
         return _known_set(*tree)
-    parts = [_certified(_build(sub, cfg), f"ingredient {sub}", cfg) for sub in tree if sub != "T"]
+    parts = [_certified(_build(sub, tol), f"ingredient {sub}", tol) for sub in tree if sub != "T"]
     return transpose_family(*parts) if tree[0] == "T" else tensor_families(*parts)
 
 
@@ -185,15 +186,16 @@ _RECIPES: dict[str, tuple[tuple[str, ...], dict[str, int], Callable[..., Tree]]]
 RECIPE_NAMES = tuple(_RECIPES)
 
 
-def run_recipe(spec: RecipeSpec, cfg: VerifyConfig | None = None) -> FamilySet:
+def run_recipe(spec: RecipeSpec, tol: float = 1e-9) -> FamilySet:
     """Assemble a named composition and certify it before returning.
 
     Raises ValueError unless the recipe gets each of its parameters, and no
     other, as a positive int (never a bool); UnsupportedParameters when it
     would need an ingredient this package does not build; VerificationFailed
-    if an assembled set does not certify (a bug, not bad input).
+    if an assembled set does not certify at tol, which at the default tol is
+    a bug, not bad input.
     """
-    cfg = cfg or VerifyConfig()
+    _check_tol(tol)
     try:
         names, defaults, recipe = _RECIPES[spec.name]
     except KeyError:
@@ -211,4 +213,4 @@ def run_recipe(spec: RecipeSpec, cfg: VerifyConfig | None = None) -> FamilySet:
     if bad:
         raise ValueError(f"recipe {spec.name!r} needs positive integer parameters, got {bad}")
     tree = recipe(*(params[n] for n in names))
-    return _certified(_build(tree, cfg), f"recipe {spec.name!r} output", cfg)
+    return _certified(_build(tree, tol), f"recipe {spec.name!r} output", tol)

@@ -22,8 +22,8 @@ from .errors import (
     NotPrime,
     UnknownName,
 )
-from .matspace import as_matrix
-from .verify import BasisFamily, FamilySet, _check_tol
+from .matspace import _check_tol, as_matrix
+from .verify import BasisFamily, FamilySet
 
 __all__ = [
     "ThetaParams",
@@ -100,7 +100,15 @@ def _mixers(t1, t2, t3) -> np.ndarray:
     return m
 
 
+def _require_int(name: str, n) -> int:
+    # a Python or numpy integer, never a bool or a float
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {type(n).__name__}")
+    return int(n)
+
+
 def is_prime(n: int) -> bool:
+    n = _require_int("n", n)
     if n < 2:
         return False
     i = 2
@@ -113,6 +121,7 @@ def is_prime(n: int) -> bool:
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization n = prod(p ** a) as (p, a) pairs sorted by prime."""
+    n = _require_int("n", n)
     if n < 2:
         raise ValueError(f"factorization needs n >= 2, got {n}")
     m = n
@@ -188,10 +197,10 @@ def c23_partner(theta: ThetaParams, tol: float = 1e-9) -> tuple[BasisFamily, Bas
 
     Returns (phi, psi) where phi is weyl_meb(2, 3) and psi is the partner
     determined by the phase triple.  Raises NotAdmissible when the phases
-    violate the admissibility constraint by more than tol radians; tol
-    must sit in VerifyConfig's range [0, 1e-3).
+    violate the admissibility constraint by more than tol radians; like
+    every tol in the package, tol must sit in [0, 1e-3).
     """
-    _check_tol("tol", tol)
+    _check_tol(tol)
     if not theta.is_admissible(tol):
         raise NotAdmissible(
             "theta2 + theta3 - 2*theta1 must equal 3*pi/2 mod 2*pi; "
@@ -216,11 +225,9 @@ def mub_prime(p: int) -> FamilySet:
     For odd p, basis b has vector j with amplitude omega^(b s^2 + j s)/sqrt(p)
     at position s, preceded by the computational basis.
     """
-    if not isinstance(p, (int, np.integer)):
-        raise TypeError(f"p must be an integer, got {type(p).__name__}")
-    if not is_prime(int(p)):
+    p = _require_int("p", p)
+    if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    p = int(p)
     if p == 2:
         return FamilySet((catalog("T1"), catalog("T2"), catalog("T3")))
     omega = np.exp(2j * np.pi / p)
@@ -239,6 +246,7 @@ def mub_composite(q: int) -> FamilySet:
     prime-power order.  This yields min(p_i + 1) bases, fewer than the
     best known count for prime powers but unbiased by the product rule.
     """
+    q = _require_int("q", q)
     fact = factorize(q)
     if len(fact) == 1 and fact[0][1] == 1:
         return mub_prime(fact[0][0])

@@ -10,20 +10,23 @@ function over numpy arrays; inputs are never mutated.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
 from .errors import NumericalFailure, ShapeMismatch
-
-if TYPE_CHECKING:
-    from .verify import VerifyConfig
 
 __all__ = [
     "hs_inner",
     "singular_values",
     "is_unitary",
 ]
+
+
+def _check_tol(tol: float) -> None:
+    """The one tolerance rule, [0, 1e-3): a looser tol lets distinct structures pass as equal."""
+    if not (0.0 <= tol < 1e-3):
+        raise ValueError(f"tol must sit in [0, 1e-3), got {tol}")
 
 
 def as_matrix(data: Any) -> np.ndarray:
@@ -58,12 +61,12 @@ def stacked_singular_values(stack: np.ndarray) -> np.ndarray:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
 
 
-def is_unitary(a: Any, cfg: "VerifyConfig | None" = None) -> bool:
-    """Whether a square matrix satisfies a^dagger a = I within tolerance."""
+def is_unitary(a: Any, tol: float = 1e-9) -> bool:
+    """Whether a square matrix satisfies a^dagger a = I within tol."""
+    _check_tol(tol)
     am = as_matrix(a)
     n, m = am.shape
     if n != m:
         raise ShapeMismatch(f"unitarity requires a square matrix, got {am.shape}")
-    tol = 1e-9 if cfg is None else cfg.tol_abs
     gram = am.conj().T @ am
     return float(np.max(np.abs(gram - np.eye(n)))) <= tol

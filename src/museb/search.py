@@ -22,7 +22,8 @@ from scipy.linalg import expm, polar
 
 from .construct import ThetaParams, _c23_elements, _mixers, _residual, _theta3, catalog
 from .errors import NotAdmissible
-from .verify import BasisFamily, _check_tol, _overlap_gram
+from .matspace import _check_tol
+from .verify import BasisFamily, _overlap_gram
 
 __all__ = [
     "SearchConfig",
@@ -42,6 +43,12 @@ _PATTERN = np.array([[1.0, np.sqrt(2.0)], [np.sqrt(2.0), 1.0]]) / np.sqrt(3.0)
 _SWEEP_BLOCK = 1024
 
 
+def _check_count(name: str, value: int, least: int) -> None:
+    # a Python or numpy integer, never a bool, and at least `least`
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     seed: int = 0
@@ -50,10 +57,9 @@ class SearchConfig:
     restarts: int = 4
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be nonnegative")
-        if self.restarts < 1:
-            raise ValueError("restarts must be positive")
+        _check_count("seed", self.seed, 0)
+        _check_count("max_iterations", self.max_iterations, 0)
+        _check_count("restarts", self.restarts, 1)
         if not 0.0 < self.step_scale <= 2.0:
             raise ValueError("step_scale must sit in (0, 2]")
 
@@ -142,10 +148,10 @@ def closure_failure_probe(
 
     The product must reproduce the fixed entry-modulus pattern and the
     quarter-turn phase relation between its diagonal entries to stay
-    inside; whichever condition fails worse is reported.  tol must sit in
-    VerifyConfig's range [0, 1e-3).
+    inside; whichever condition fails worse is reported.  Like every tol
+    in the package, tol must sit in [0, 1e-3).
     """
-    _check_tol("tol", tol)
+    _check_tol(tol)
     thetas = np.array([[astuple(ta), astuple(tb)]])
     modulus_dev, phase_dev = (float(dev[0]) for dev in _closure_deviations(thetas, tol))
     if modulus_dev > tol:
@@ -177,9 +183,9 @@ def closure_sweep(pairs: int, seed: int = 0, tol: float = 1e-9) -> ClosureSweep:
     exceeds tol.  The pairs are probed in fixed blocks, so memory stays flat
     as pairs grows.
     """
-    _check_tol("tol", tol)
-    if pairs < 1:
-        raise ValueError("pairs must be positive")
+    _check_tol(tol)
+    _check_count("pairs", pairs, 1)
+    _check_count("seed", seed, 0)
     failures = sum(
         int(np.count_nonzero((modulus_dev > tol) | (phase_dev > tol)))
         for modulus_dev, phase_dev in _sweep_deviations(pairs, seed, tol)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .construct import catalog
 from .errors import NotCHM, ShapeMismatch
-from .matspace import as_matrix, is_unitary
-from .verify import Offender, VerificationReport, VerifyConfig, check_mu_pair
+from .matspace import _check_tol, as_matrix, is_unitary
+from .verify import Offender, VerificationReport, check_mu_pair
 
 __all__ = [
     "ObstructionFinding",
@@ -46,16 +46,16 @@ class ObstructionFinding:
     row_phase: complex = 1.0 + 0.0j
 
 
-def is_chm(w, cfg: VerifyConfig | None = None) -> bool:
-    """Whether w is a complex Hadamard matrix: unitary with flat moduli."""
-    cfg = cfg or VerifyConfig()
+def is_chm(w, tol: float = 1e-9) -> bool:
+    """Whether w is a complex Hadamard matrix: unitary with flat moduli, within tol."""
+    _check_tol(tol)
     wm = as_matrix(w)
     n, m = wm.shape
     if n != m:
         raise ShapeMismatch(f"expected a square matrix, got {wm.shape}")
-    if not is_unitary(wm, cfg):
+    if not is_unitary(wm, tol):
         return False
-    return float(np.max(np.abs(np.abs(wm) - 1.0 / np.sqrt(n)))) <= cfg.tol_abs
+    return float(np.max(np.abs(np.abs(wm) - 1.0 / np.sqrt(n)))) <= tol
 
 
 def _dephasing_scan(wm: np.ndarray, tol: float):
@@ -78,7 +78,7 @@ def _dephasing_scan(wm: np.ndarray, tol: float):
     return None
 
 
-def dephased_obstruction(w, cfg: VerifyConfig | None = None) -> ObstructionFinding:
+def dephased_obstruction(w, tol: float = 1e-9) -> ObstructionFinding:
     """Search for a real 2 x 3 pattern reachable by row and column rephasing.
 
     The input must be a complex Hadamard matrix; both the matrix and its
@@ -86,12 +86,12 @@ def dephased_obstruction(w, cfg: VerifyConfig | None = None) -> ObstructionFindi
     is invariant under transposition.  An obstructed finding certifies
     that no third basis is mutually unbiased to both the identity and w.
     """
-    cfg = cfg or VerifyConfig()
+    _check_tol(tol)
     wm = as_matrix(w)
-    if not is_chm(wm, cfg):
+    if not is_chm(wm, tol):
         raise NotCHM("dephasing obstructions are only meaningful for complex Hadamard matrices")
     for transposed, mat in ((False, wm), (True, wm.T)):
-        hit = _dephasing_scan(mat, cfg.tol_abs)
+        hit = _dephasing_scan(mat, tol)
         if hit is not None:
             (r1, r2), cols, phases, row_phase = hit
             return ObstructionFinding(
@@ -116,7 +116,7 @@ def _validate_witness(wm: np.ndarray, finding: ObstructionFinding) -> float:
     return worst
 
 
-def theorem2_reproduce(cfg: VerifyConfig | None = None) -> VerificationReport:
+def theorem2_reproduce(tol: float = 1e-9) -> VerificationReport:
     """Re-derive the no-third-basis obstruction for the frozen (U, V) pair.
 
     Checks, in order: U and V are unitary; their columns reshape to the
@@ -124,9 +124,11 @@ def theorem2_reproduce(cfg: VerifyConfig | None = None) -> VerificationReport:
     1/sqrt(6); W = U^dagger V is a complex Hadamard matrix; right-multiplying
     by the frozen Q makes the lower-left 2 x 3 block real with the known
     sign pattern; and the dephasing scan certifies the obstruction, with
-    the returned witness re-validated entry by entry.
+    the returned witness re-validated entry by entry.  Every stage is held
+    to tol; when W is not a complex Hadamard matrix at tol the scan is
+    skipped and its stage fails.
     """
-    cfg = cfg or VerifyConfig()
+    _check_tol(tol)
     u = catalog("U")
     v = catalog("V")
     q = catalog("Q")
@@ -142,7 +144,7 @@ def theorem2_reproduce(cfg: VerifyConfig | None = None) -> VerificationReport:
         nonlocal checks, passed
         checks += 1
         deviations.append(dev)
-        if not (ok and dev <= cfg.tol_abs):
+        if not (ok and dev <= tol):
             passed = False
             offenders.append((0, 0, idx, idx, dev))
 
@@ -153,17 +155,19 @@ def theorem2_reproduce(cfg: VerifyConfig | None = None) -> VerificationReport:
     stage(2, True, float(np.max(np.abs(u.T.reshape(6, 2, 3) - f16.elements))))
     stage(3, True, float(np.max(np.abs(v.T.reshape(6, 2, 3) - f17.elements))))
 
-    mu = check_mu_pair(f16, f17, cfg)
+    mu = check_mu_pair(f16, f17, tol)
     stage(4, mu.passed, mu.worst_violation)
 
     w = u.conj().T @ v
-    stage(5, is_chm(w, cfg), float(np.max(np.abs(np.abs(w) - 1.0 / np.sqrt(6)))))
+    chm = is_chm(w, tol)
+    stage(5, chm, float(np.max(np.abs(np.abs(w) - 1.0 / np.sqrt(6)))))
 
     s6 = np.sqrt(6.0)
     target = np.array([[-1 / s6, -1 / s6, 1 / s6], [1 / s6, 1 / s6, 1 / s6]])
     stage(6, True, float(np.max(np.abs((w @ q)[4:6, 0:3] - target))))
 
-    finding = dephased_obstruction(w, cfg)
+    # the scan refuses a non-Hadamard W, which leaves nothing obstructed
+    finding = dephased_obstruction(w, tol) if chm else ObstructionFinding(obstructed=False)
     stage(7, finding.obstructed, _validate_witness(w, finding) if finding.obstructed else 1.0)
 
     return VerificationReport(

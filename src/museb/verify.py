@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyInput, ShapeMismatch
-from .matspace import as_matrix, singular_values, stacked_singular_values
+from .matspace import _check_tol, as_matrix, singular_values, stacked_singular_values
 
 __all__ = [
     "MAX_OFFENDERS",
-    "VerifyConfig",
     "VerificationReport",
     "BasisFamily",
     "FamilySet",
@@ -33,30 +32,6 @@ __all__ = [
 
 # offender lists are capped so reports stay readable on large sets
 MAX_OFFENDERS = 32
-
-
-@dataclass(frozen=True)
-class VerifyConfig:
-    """Tolerances for certification.
-
-    tol_abs bounds deviations of singular values and Gram entries from
-    their targets; tol_overlap bounds deviations of cross-overlap
-    magnitudes.  Both must sit in [0, 1e-3): anything looser would let
-    structurally different families pass as equal.
-    """
-
-    tol_abs: float = 1e-9
-    tol_overlap: float = 1e-9
-
-    def __post_init__(self) -> None:
-        for name in ("tol_abs", "tol_overlap"):
-            _check_tol(name, getattr(self, name))
-
-
-def _check_tol(name: str, tol: float) -> None:
-    """The one tolerance rule: [0, 1e-3), shared by VerifyConfig and the probes."""
-    if not (0.0 <= tol < 1e-3):
-        raise ValueError(f"{name} must sit in [0, 1e-3), got {tol}")
 
 
 # (family_i, family_j, element_i, element_j, measured value)
@@ -165,21 +140,21 @@ def _overlap_gram(e: np.ndarray, f: np.ndarray) -> np.ndarray:
     return e.reshape(n, -1).conj() @ f.reshape(m, -1).T
 
 
-def schmidt_number(a, cfg: VerifyConfig | None = None) -> int:
-    """Number of singular values above tolerance (the rank of the matrix)."""
-    cfg = cfg or VerifyConfig()
+def schmidt_number(a, tol: float = 1e-9) -> int:
+    """Number of singular values above tol (the rank of the matrix)."""
+    _check_tol(tol)
     sv = singular_values(as_matrix(a))
-    return int(np.count_nonzero(sv > cfg.tol_abs))
+    return int(np.count_nonzero(sv > tol))
 
 
-def check_sebk(family: BasisFamily, cfg: VerifyConfig | None = None) -> VerificationReport:
+def check_sebk(family: BasisFamily, tol: float = 1e-9) -> VerificationReport:
     """Certify that a family is an orthonormal basis of uniform Schmidt rank.
 
     Every element must have singular spectrum (1/sqrt(k), ..., 1/sqrt(k),
     0, ..., 0) with k repetitions, and the mutual Gram matrix of the
-    family must be the identity, both within cfg.tol_abs.
+    family must be the identity, both within tol.
     """
-    cfg = cfg or VerifyConfig()
+    _check_tol(tol)
     el = family.elements
     n = el.shape[0]
     small = min(family.d, family.dprime)
@@ -193,19 +168,19 @@ def check_sebk(family: BasisFamily, cfg: VerifyConfig | None = None) -> Verifica
     gram_dev = np.abs(gram - np.eye(n))
 
     offenders: list[Offender] = []
-    for i in np.flatnonzero(sv_dev.max(axis=1) > cfg.tol_abs):
+    for i in np.flatnonzero(sv_dev.max(axis=1) > tol):
         pos = int(np.argmax(sv_dev[i]))
         offenders.append((0, 0, int(i), pos, float(sv[i, pos])))
         if len(offenders) >= MAX_OFFENDERS:
             break
     if len(offenders) < MAX_OFFENDERS:
-        bad = np.argwhere(gram_dev > cfg.tol_abs)
+        bad = np.argwhere(gram_dev > tol)
         for i, j in bad[: MAX_OFFENDERS - len(offenders)]:
             offenders.append((0, 0, int(i), int(j), float(np.abs(gram[i, j]))))
 
     worst = float(max(sv_dev.max(initial=0.0), gram_dev.max(initial=0.0)))
     return VerificationReport(
-        passed=worst <= cfg.tol_abs,
+        passed=worst <= tol,
         worst_violation=worst,
         offenders=tuple(offenders),
         checks_run=n + n * n,
@@ -213,10 +188,10 @@ def check_sebk(family: BasisFamily, cfg: VerifyConfig | None = None) -> Verifica
 
 
 def check_mu_pair(
-    f: BasisFamily, g: BasisFamily, cfg: VerifyConfig | None = None
+    f: BasisFamily, g: BasisFamily, tol: float = 1e-9
 ) -> VerificationReport:
-    """Certify that every cross overlap has magnitude 1/sqrt(d d')."""
-    cfg = cfg or VerifyConfig()
+    """Certify that every cross overlap has magnitude 1/sqrt(d d') within tol."""
+    _check_tol(tol)
     if (f.d, f.dprime) != (g.d, g.dprime):
         raise ShapeMismatch(
             f"cannot compare bases of ({f.d}, {f.dprime}) with ({g.d}, {g.dprime})"
@@ -226,26 +201,28 @@ def check_mu_pair(
     dev = np.abs(mags - target)
 
     offenders: list[Offender] = []
-    for i, j in np.argwhere(dev > cfg.tol_overlap)[:MAX_OFFENDERS]:
+    for i, j in np.argwhere(dev > tol)[:MAX_OFFENDERS]:
         offenders.append((0, 1, int(i), int(j), float(mags[i, j])))
 
     worst = float(dev.max(initial=0.0))
     n = len(f)
     return VerificationReport(
-        passed=worst <= cfg.tol_overlap,
+        passed=worst <= tol,
         worst_violation=worst,
         offenders=tuple(offenders),
         checks_run=n * n,
     )
 
 
-def check_museb_set(s: FamilySet, cfg: VerifyConfig | None = None) -> VerificationReport:
+def check_museb_set(s: FamilySet, tol: float = 1e-9) -> VerificationReport:
     """Certify a whole family set: each basis individually, and all pairs.
 
     For d = d' = 1 and k = 1 this reduces to the ordinary mutually
-    unbiased bases condition on C^n written one column at a time.
+    unbiased bases condition on C^n written one column at a time.  An
+    empty set certifies nothing, so it raises EmptyInput.
     """
-    cfg = cfg or VerifyConfig()
+    _check_tol(tol)
+    s._require_nonempty()
     worst = 0.0
     checks = 0
     passed = True
@@ -261,9 +238,9 @@ def check_museb_set(s: FamilySet, cfg: VerifyConfig | None = None) -> Verificati
                 offenders.append((fi, fj, i, j, val))
 
     for fi, fam in enumerate(s.families):
-        absorb(fi, fi, check_sebk(fam, cfg))
+        absorb(fi, fi, check_sebk(fam, tol))
     for fi, fj in itertools.combinations(range(len(s.families)), 2):
-        absorb(fi, fj, check_mu_pair(s.families[fi], s.families[fj], cfg))
+        absorb(fi, fj, check_mu_pair(s.families[fi], s.families[fj], tol))
 
     return VerificationReport(
         passed=passed,

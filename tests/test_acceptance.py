@@ -14,7 +14,6 @@ from museb import (
     RecipeSpec,
     ThetaParams,
     UnsupportedParameters,
-    VerifyConfig,
     c23_partner,
     catalog,
     check_mu_pair,
@@ -34,7 +33,7 @@ from museb import (
     weyl_meb,
 )
 
-TIGHT = VerifyConfig(tol_abs=1e-10, tol_overlap=1e-10)
+TIGHT = 1e-10
 
 
 def brute_overlaps(f, g):

@@ -11,6 +11,7 @@ from museb import (
     catalog,
     familyfile,
     load_family_set,
+    mub_prime,
     save_family_set,
     save_matrix,
     weyl_meb,
@@ -317,15 +318,76 @@ def test_probe_stdout_is_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_STDOUT_SHA256[argv]
 
 
+# exit code and stdout sha256 of each certifying command at each --tol,
+# recorded while verification still carried two separate tolerances
+PINNED_TOLS = ("0", "1e-16", "1e-15", "1e-9", "9.9e-4")
+_NO_STDOUT = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+_WEYL_PASS = "6ad61b3c9741c2aa2b3f86cea4b42cc4132098e79424a92e79924fe09ce09133"
+_MUB5_PASS = "4d0d6a46b4753c6356a5f5fc89d8c4a3a2627f31f2ba1225b1a2c5db9927631d"
+_M69 = "6302315a7afc699350701bc3d0e01e71d481709af893518659a290310716f18d"
+_TENSOR = "33222d5675ed82b58878576c272852b963bb98f4829fc7a303de82ec1a2e30bd"
+_TRIO_PASS = "d258070f31cb74f82e9be0cdd880acf667863fff7ce68475bbc7f713824c6fc7"
+CERTIFY_STDOUT_SHA256 = {
+    ("verify", "{weyl}"): (
+        (1, "f1098024343774dcda5a833b3c19fc94d82700e839d13149df18ab8ca9cdfa52"),
+        (1, "6e14f37cce09b0a79010eafa3a4b5914325724bdf6b50f702a2399d54cd4dbe2"),
+        (0, _WEYL_PASS), (0, _WEYL_PASS), (0, _WEYL_PASS),
+    ),
+    ("verify", "{mub5}"): (
+        (1, "95cfe6b59859968b56acf1f1ebc461a95ce27bddff959b05a3b83838152205b8"),
+        (1, "1712c32596d6a40bedd74764869e38b1d8690a4a941a298ac3b9befbddad0566"),
+        (0, _MUB5_PASS), (0, _MUB5_PASS), (0, _MUB5_PASS),
+    ),
+    ("compose", "m69"): ((2, _NO_STDOUT), (2, _NO_STDOUT), (0, _M69), (0, _M69), (0, _M69)),
+    ("compose", "tensor", "{mub2}", "{mub3}"): (
+        (1, _NO_STDOUT), (1, _NO_STDOUT), (0, _TENSOR), (0, _TENSOR), (0, _TENSOR),
+    ),
+    ("trio", "--builtin"): (
+        (2, "38dc861322520cbfc5ee683dab6ce31c9947b027b99acfdefcb4545083921143"),
+        (1, "4e3e7c0b399019ef6a78f5a17006ceb673dbb1e75c3d80b6b0c9d5afb36b66f0"),
+        (0, _TRIO_PASS), (0, _TRIO_PASS), (0, _TRIO_PASS),
+    ),
+}
+
+
+@pytest.mark.parametrize("tol", PINNED_TOLS)
+@pytest.mark.parametrize("argv", list(CERTIFY_STDOUT_SHA256),
+                         ids=[" ".join(argv[:2]) for argv in CERTIFY_STDOUT_SHA256])
+def test_certifying_stdout_is_pinned_at_each_tolerance(tmp_path, capsys, argv, tol):
+    files = {name: tmp_path / f"{name}.json" for name in ("weyl", "mub5", "mub2", "mub3")}
+    save_family_set(FamilySet((weyl_meb(2, 3),)), files["weyl"])
+    for p in (5, 2, 3):
+        save_family_set(mub_prime(p), files[f"mub{p}"])
+    code, out, _ = run(capsys, *(arg.format(**files) for arg in argv), "--tol", tol)
+    want = CERTIFY_STDOUT_SHA256[argv][PINNED_TOLS.index(tol)]
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == want
+
+
 @pytest.mark.parametrize("argv", [
     ("search", "closure", "--pairs", "200", "--seed", "0", "--tol", "1"),
     ("generate", "c23", "0", "4.71238898038469", "0.5", "--tol", "1"),
     ("generate", "c23", "0", "4.71238898038469", "--tol=-1e-9"),
+    ("verify", "{weyl}", "--tol", "1e-3"),
+    ("compose", "m69", "--tol", "1e-3"),
+    ("compose", "tensor", "{weyl}", "{weyl}", "--tol=-1e-12"),
+    ("trio", "--builtin", "--tol", "1e-3"),
 ])
-def test_tol_outside_the_verify_range_exits_2(capsys, argv):
-    code, out, err = run(capsys, *argv)
+def test_tol_outside_the_verify_range_exits_2(tmp_path, capsys, argv):
+    weyl = tmp_path / "weyl.json"
+    save_family_set(FamilySet((weyl_meb(2, 3),)), weyl)
+    code, out, err = run(capsys, *(arg.format(weyl=weyl) for arg in argv))
     assert code == 2 and out == ""
     assert err.startswith("error: tol must sit in [0, 1e-3)")
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("search", "third-basis", "--seed", "-1"), "seed"),
+    (("search", "closure", "--pairs", "5", "--seed", "-1"), "seed"),
+])
+def test_search_refuses_negative_seed(capsys, argv, field):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {field} must be an integer >= 0")
 
 
 def test_search_third_basis_deterministic_output(capsys):

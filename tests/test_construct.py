@@ -257,6 +257,19 @@ def test_factorize_and_is_prime():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
 
+@pytest.mark.parametrize("build", [is_prime, factorize, mub_composite, mub_prime])
+@pytest.mark.parametrize("n", [12.0, 7.5, True, "6"])
+def test_dimension_arguments_must_be_integers(build, n):
+    # a float or bool is never a dimension: refuse it rather than compute with it
+    with pytest.raises(TypeError, match="must be an integer"):
+        build(n)
+
+
+def test_numpy_integers_are_integers():
+    assert factorize(np.int64(12)) == ((2, 2), (3, 1))
+    assert [f.label for f in mub_composite(np.int64(6))] == ["mub6.t0", "mub6.t1", "mub6.t2"]
+
+
 # ----------------------------------------------------------- mumeb_qubit
 
 def test_mumeb_qubit_is_three_maximally_entangled_bases():

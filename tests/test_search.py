@@ -111,11 +111,25 @@ def test_search_config_validation():
         SearchConfig(restarts=0)
     with pytest.raises(ValueError):
         SearchConfig(step_scale=0.0)
+    # counts are integers, never bools or floats, and the seed is nonnegative
+    for field, value in [("max_iterations", 2.5), ("max_iterations", True), ("restarts", 1.5),
+                         ("restarts", True), ("seed", -1), ("seed", 0.5), ("seed", False)]:
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            SearchConfig(**{field: value})
 
 
 def test_sweep_validates_pairs():
     with pytest.raises(ValueError):
         closure_sweep(0)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"pairs": 2.5}, "pairs"), ({"pairs": True}, "pairs"),
+    ({"pairs": 5, "seed": -1}, "seed"), ({"pairs": 5, "seed": 1.0}, "seed"),
+])
+def test_sweep_counts_must_be_integers(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        closure_sweep(**kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from museb import (
     NotCHM,
     ShapeMismatch,
-    VerifyConfig,
     catalog,
     dephased_obstruction,
     is_chm,
@@ -115,7 +114,7 @@ def test_obstruction_is_invariant_under_hadamard_equivalence(
     if finding.obstructed:
         dephased = apply_witness(w, finding)
         r1, r2 = finding.row_pair
-        tol = VerifyConfig().tol_abs
+        tol = 1e-9
         for col in finding.columns:
             assert abs(dephased[r1, col].imag) <= tol
             assert abs(dephased[r2, col].imag) <= tol
@@ -149,8 +148,17 @@ def test_theorem2_reproduce_certifies_the_whole_chain():
 
 
 def test_theorem2_reproduce_with_tight_config():
-    rep = theorem2_reproduce(VerifyConfig(tol_abs=1e-12, tol_overlap=1e-12))
+    rep = theorem2_reproduce(1e-12)
     assert rep.passed
+
+
+def test_theorem2_reproduce_at_zero_tolerance_fails_without_raising():
+    # W is Hadamard only to rounding, so stage 5 fails and the scan is skipped
+    rep = theorem2_reproduce(0.0)
+    assert not rep.passed
+    assert rep.checks_run == 8
+    assert rep.worst_violation == 1.0
+    assert (0, 0, 7, 7, 1.0) in rep.offenders
 
 
 def test_corrector_makes_lower_left_block_real():

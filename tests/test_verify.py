@@ -10,19 +10,28 @@ from museb import (
     MAX_OFFENDERS,
     RECIPE_NAMES,
     BasisFamily,
+    EmptyInput,
     FamilySet,
+    MusebError,
     NumericalFailure,
     RecipeSpec,
     ShapeMismatch,
-    VerifyConfig,
+    ThetaParams,
     catalog,
     check_mu_pair,
     check_museb_set,
     check_sebk,
+    closure_failure_probe,
+    closure_sweep,
+    c23_partner,
+    dephased_obstruction,
+    is_chm,
+    is_unitary,
     mub_prime,
     run_recipe,
     schmidt_number,
     tensor_families,
+    theorem2_reproduce,
     transpose_family,
     weyl_meb,
 )
@@ -44,12 +53,36 @@ def brute_overlaps(f, g):
     return out
 
 
-def test_verify_config_rejects_loose_tolerances():
-    with pytest.raises(ValueError):
-        VerifyConfig(tol_abs=1e-3)
-    with pytest.raises(ValueError):
-        VerifyConfig(tol_overlap=-1e-12)
-    VerifyConfig(tol_abs=0.0, tol_overlap=9.9e-4)
+_ADMISSIBLE = ThetaParams(0.0, 1.5 * np.pi, 0.0)
+# every public function that takes a tolerance, called on a small valid input
+TOL_TAKERS = {
+    "schmidt_number": lambda tol: schmidt_number(np.eye(2), tol),
+    "check_sebk": lambda tol: check_sebk(catalog("T1"), tol),
+    "check_mu_pair": lambda tol: check_mu_pair(catalog("T1"), catalog("T2"), tol),
+    "check_museb_set": lambda tol: check_museb_set(mub_prime(2), tol),
+    "is_unitary": lambda tol: is_unitary(np.eye(2), tol),
+    "is_chm": lambda tol: is_chm(np.ones((1, 1)), tol),
+    "dephased_obstruction": lambda tol: dephased_obstruction(np.ones((1, 1)), tol),
+    "theorem2_reproduce": lambda tol: theorem2_reproduce(tol),
+    "run_recipe": lambda tol: run_recipe(
+        RecipeSpec("theorem3", {"d": 1, "dprime": 1, "p": 1, "q": 1}), tol),
+    "c23_partner": lambda tol: c23_partner(_ADMISSIBLE, tol),
+    "closure_failure_probe": lambda tol: closure_failure_probe(_ADMISSIBLE, _ADMISSIBLE, tol),
+    "closure_sweep": lambda tol: closure_sweep(5, tol=tol),
+}
+
+
+@pytest.mark.parametrize("name", list(TOL_TAKERS))
+def test_every_tol_rejects_loose_tolerances(name):
+    call = TOL_TAKERS[name]
+    for bad in (1e-3, -1e-12):
+        with pytest.raises(ValueError, match=r"tol must sit in \[0, 1e-3\)"):
+            call(bad)
+    for good in (0.0, 9.9e-4):
+        try:
+            call(good)
+        except MusebError:
+            pass  # a verdict at this tolerance, not a refusal of it
 
 
 def test_schmidt_number_counts_rank():
@@ -151,6 +184,12 @@ def test_check_museb_set_aggregates_everything():
     rep = check_museb_set(fs)
     assert rep.passed
     assert rep.checks_run == 3 * (9 + 81) + 3 * 81
+
+
+def test_check_museb_set_refuses_an_empty_set():
+    # with no family there is nothing to certify, so no verdict is honest
+    with pytest.raises(EmptyInput):
+        check_museb_set(FamilySet(()))
 
 
 def test_check_museb_set_reduces_to_mub_condition():
