@@ -37,34 +37,21 @@ def _emit_matrix(mat: np.ndarray, out: str | None) -> None:
         print(familyfile.dumps_matrix(mat))
 
 
+def _c23_pair(args: argparse.Namespace) -> FamilySet:
+    theta3 = args.theta3
+    if theta3 is None:
+        theta3 = construct.solve_theta(args.theta1, args.theta2)
+    theta = construct.ThetaParams(args.theta1, args.theta2, theta3)
+    return FamilySet(construct.c23_partner(theta, tol=args.tol))
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
-    kind = args.generator
-    if kind == "weyl":
-        fs = FamilySet((construct.weyl_meb(args.d, args.dprime),))
-    elif kind == "c23":
-        theta3 = args.theta3
-        if theta3 is None:
-            theta3 = construct.solve_theta(args.theta1, args.theta2)
-        phi, psi = construct.c23_partner(
-            construct.ThetaParams(args.theta1, args.theta2, theta3), tol=args.tol
-        )
-        fs = FamilySet((phi, psi))
-    elif kind == "mub":
-        fs = construct.mub_prime(args.p)
-    elif kind == "mumeb-qubit":
-        fs = construct.mumeb_qubit()
-    elif kind == "catalog":
-        obj = construct.catalog(args.name)
-        if isinstance(obj, np.ndarray):
-            _emit_matrix(obj, args.out)
-            return 0
-        if isinstance(obj, BasisFamily):
-            obj = FamilySet((obj,))
-        _emit_family_set(obj, args.out)
-        return 0
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown generator {kind!r}")
-    _emit_family_set(fs, args.out)
+    # each generate leaf sets its own builder; a catalog entry may be a plain matrix
+    obj = args.build(args)
+    if isinstance(obj, np.ndarray):
+        _emit_matrix(obj, args.out)
+    else:
+        _emit_family_set(FamilySet((obj,)) if isinstance(obj, BasisFamily) else obj, args.out)
     return 0
 
 
@@ -179,21 +166,27 @@ def build_parser() -> argparse.ArgumentParser:
     gensub = gen.add_subparsers(dest="generator", required=True)
 
     g_weyl = gensub.add_parser("weyl", parents=[out], help="shift-phase entangled basis")
+    g_weyl.set_defaults(build=lambda args: construct.weyl_meb(args.d, args.dprime))
     g_weyl.add_argument("d", type=int)
     g_weyl.add_argument("dprime", type=int)
 
     g_c23 = gensub.add_parser("c23", parents=[tol, out], help="the (2,3) mutually unbiased pair")
+    g_c23.set_defaults(build=_c23_pair)
     g_c23.add_argument("theta1", type=float)
     g_c23.add_argument("theta2", type=float)
     g_c23.add_argument("theta3", type=float, nargs="?", default=None)
 
     g_mub = gensub.add_parser("mub", parents=[out], help="p+1 unbiased bases for prime p")
+    g_mub.set_defaults(build=lambda args: construct.mub_prime(args.p))
     g_mub.add_argument("p", type=int)
 
     g_cat = gensub.add_parser("catalog", parents=[out], help="frozen reference object by name")
+    g_cat.set_defaults(build=lambda args: construct.catalog(args.name))
     g_cat.add_argument("name", choices=list(construct.CATALOG_NAMES))
 
-    gensub.add_parser("mumeb-qubit", parents=[out], help="three qubit-pair entangled bases")
+    g_qubit = gensub.add_parser("mumeb-qubit", parents=[out],
+                                help="three qubit-pair entangled bases")
+    g_qubit.set_defaults(build=lambda args: construct.mumeb_qubit())
 
     ver = sub.add_parser("verify", parents=[tol], help="certify a stored family set")
     ver.set_defaults(func=_cmd_verify)

@@ -6,6 +6,8 @@ tensoring elements pairwise gives mutually unbiased rank-(k1 k2) bases of
 C^(dp) (x) C^(d'q), one for each aligned pair of input families.  Singular
 values and overlaps multiply across the Kronecker product, which is what
 makes the count, the rank, and the unbiasedness all survive.
+tensor_families is the package's one Kronecker kernel: the composite
+built-in sets are left folds of it over prime-dimension sets.
 
 run_recipe packages named applications of this rule.  Each recipe is a
 tree whose leaves are built-in sets for dimension pairs (d, d') and whose
@@ -15,14 +17,15 @@ and the output once more, so a returned set is always a certified witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
 
-from .construct import catalog, factorize, mub_composite, mumeb_qubit
+from .construct import catalog, factorize, mub_prime, mumeb_qubit
 from .errors import EmptyInput, UnsupportedParameters, VerificationFailed
-from .matspace import _check_tol
+from .matspace import _check_tol, _require_int
 from .verify import BasisFamily, FamilySet, check_museb_set
 
 __all__ = [
@@ -30,6 +33,7 @@ __all__ = [
     "RECIPE_NAMES",
     "tensor_families",
     "transpose_family",
+    "mub_composite",
     "run_recipe",
 ]
 
@@ -89,6 +93,27 @@ def transpose_family(s: FamilySet) -> FamilySet:
     return FamilySet(tuple(families))
 
 
+def _fold(parts, build: Callable[[int], FamilySet]) -> FamilySet:
+    # the left fold of tensor_families over a copies of build(p) for each (p, a), in order
+    return functools.reduce(tensor_families, [build(p) for p, a in parts for _ in range(a)])
+
+
+def mub_composite(q: int) -> FamilySet:
+    """Mutually unbiased bases of C^q by tensoring prime constituents.
+
+    Writing q = prod(p_i ** a_i), basis t of C^q is the tensor product of
+    a_i copies of basis t of C^(p_i) for each factor, taken in increasing
+    prime-power order.  This yields min(p_i + 1) bases, fewer than the
+    best known count for prime powers but unbiased by the product rule.
+    """
+    q = _require_int("q", q)
+    fact = factorize(q)
+    if fact == ((q, 1),):
+        return mub_prime(q)
+    fs = _fold(sorted(fact, key=lambda pa: pa[0] ** pa[1]), mub_prime)
+    return FamilySet(tuple(replace(fam, label=f"mub{q}.t{t}") for t, fam in enumerate(fs)))
+
+
 def _trivial_set(count: int) -> FamilySet:
     # bases of C^1 (x) C^1; every pair is vacuously unbiased at 1/sqrt(1)
     one = np.ones((1, 1, 1), dtype=complex)
@@ -112,27 +137,19 @@ def _mumeb_square(d: int) -> FamilySet:
             f"prime factor(s) {unsupported} would need the externally cited "
             "odd-prime-power construction, which this package does not build"
         )
-    out: FamilySet | None = None
-    for p, a in fact:
-        base = _mumeb_square(p)
-        for _ in range(a):
-            out = base if out is None else tensor_families(out, base)
-    assert out is not None
-    return out
+    return _fold(fact, _mumeb_square)
 
 
 def _known_set(d: int, dprime: int) -> FamilySet:
     """A built-in verified family set for the dimension pair, or a clear refusal."""
+    if d > dprime:
+        return transpose_family(_known_set(dprime, d))
     if (d, dprime) == (1, 1):
         return _trivial_set(3)
     if d == 1:
         return mub_composite(dprime)
-    if dprime == 1:
-        return transpose_family(mub_composite(d))
     if (d, dprime) == (2, 3):
         return FamilySet((catalog("R1"), catalog("R2")))
-    if (d, dprime) == (3, 2):
-        return transpose_family(FamilySet((catalog("R1"), catalog("R2"))))
     if d == dprime:
         return _mumeb_square(d)
     raise UnsupportedParameters(

@@ -3,9 +3,10 @@
 The workhorses are weyl_meb, which builds a maximally entangled basis of
 C^d (x) C^d' from shift and phase operators, and c23_partner, which pairs
 the (2, 3) instance with a second basis parameterized by three phases.
-The module also carries small mutually unbiased basis families for prime
-and composite dimensions, a qubit-side trio of maximally entangled bases,
-and a catalog of frozen reference families used throughout the tests.
+The module also carries the mutually unbiased bases of prime dimensions
+(compose tensors them into composite ones), a qubit-side trio of maximally
+entangled bases, and a catalog of frozen reference families used
+throughout the tests.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     NotPrime,
     UnknownName,
 )
-from .matspace import _check_tol, as_matrix
+from .matspace import _check_tol, _require_int, as_matrix
 from .verify import BasisFamily, FamilySet
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "is_prime",
     "factorize",
     "mub_prime",
-    "mub_composite",
     "mumeb_qubit",
     "catalog",
 ]
@@ -100,23 +100,9 @@ def _mixers(t1, t2, t3) -> np.ndarray:
     return m
 
 
-def _require_int(name: str, n) -> int:
-    # a Python or numpy integer, never a bool or a float
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {type(n).__name__}")
-    return int(n)
-
-
 def is_prime(n: int) -> bool:
     n = _require_int("n", n)
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
+    return n >= 2 and factorize(n) == ((n, 1),)
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
@@ -148,6 +134,7 @@ def weyl_meb(d: int, dprime: int) -> BasisFamily:
     primitive d-th root of unity.  Requires d <= d'; every element has
     Schmidt number d.
     """
+    d, dprime = _require_int("d", d), _require_int("dprime", dprime)
     if d < 1 or dprime < 1:
         raise ValueError("dimensions must be positive")
     if d > dprime:
@@ -235,36 +222,6 @@ def mub_prime(p: int) -> FamilySet:
     quads = omega ** ((b * s * s + j * s) % p) / np.sqrt(p)
     families = [_vectors_as_rows(np.eye(p, dtype=complex), label=f"mub{p}.standard")]
     families += [_vectors_as_rows(v, label=f"mub{p}.quad{i}") for i, v in enumerate(quads)]
-    return FamilySet(tuple(families))
-
-
-def mub_composite(q: int) -> FamilySet:
-    """Mutually unbiased bases of C^q by tensoring prime constituents.
-
-    Writing q = prod(p_i ** a_i), basis t of C^q is the tensor product of
-    a_i copies of basis t of C^(p_i) for each factor, taken in increasing
-    prime-power order.  This yields min(p_i + 1) bases, fewer than the
-    best known count for prime powers but unbiased by the product rule.
-    """
-    q = _require_int("q", q)
-    fact = factorize(q)
-    if len(fact) == 1 and fact[0][1] == 1:
-        return mub_prime(fact[0][0])
-    parts = sorted(fact, key=lambda pa: pa[0] ** pa[1])
-    count = min(p + 1 for p, _ in parts)
-    # column j of a p x p basis matrix is vector j of that basis
-    basis_mats: list[list[np.ndarray]] = []
-    for p, a in parts:
-        prime_set = mub_prime(p)
-        mats = [np.stack([f[j][0] for j in range(p)], axis=1) for f in prime_set]
-        basis_mats.append(mats)
-    families = []
-    for t in range(count):
-        full = np.eye(1, dtype=complex)
-        for (p, a), mats in zip(parts, basis_mats):
-            for _ in range(a):
-                full = np.kron(full, mats[t])
-        families.append(_vectors_as_rows(full.T.copy(), label=f"mub{q}.t{t}"))
     return FamilySet(tuple(families))
 
 

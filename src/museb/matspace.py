@@ -29,6 +29,13 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must sit in [0, 1e-3), got {tol}")
 
 
+def _require_int(name: str, n) -> int:
+    """The one dimension rule: a Python or numpy integer, never a bool or a float, as an int."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {type(n).__name__}")
+    return int(n)
+
+
 def as_matrix(data: Any) -> np.ndarray:
     """Coerce input to a 2-D complex array, rejecting NaN and infinity."""
     arr = np.asarray(data, dtype=complex)

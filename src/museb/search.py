@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -60,8 +61,11 @@ class SearchConfig:
         _check_count("seed", self.seed, 0)
         _check_count("max_iterations", self.max_iterations, 0)
         _check_count("restarts", self.restarts, 1)
-        if not 0.0 < self.step_scale <= 2.0:
-            raise ValueError("step_scale must sit in (0, 2]")
+        # a real number, never a bool or a string, inside (0, 2]
+        step = self.step_scale
+        real = isinstance(step, numbers.Real) and not isinstance(step, bool)
+        if not (real and 0.0 < step <= 2.0):
+            raise ValueError(f"step_scale must be a number in (0, 2], got {step!r}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyInput, ShapeMismatch
-from .matspace import _check_tol, as_matrix, singular_values, stacked_singular_values
+from .matspace import (
+    _check_tol, _require_int, as_matrix, singular_values, stacked_singular_values,
+)
 
 __all__ = [
     "MAX_OFFENDERS",
@@ -52,7 +54,9 @@ class BasisFamily:
 
     elements is a (d*d', d, d') complex array; element i is the matrix of
     the i-th basis state.  k declares the intended Schmidt number; it is a
-    claim checked by check_sebk, not enforced at construction.
+    claim checked by check_sebk, not enforced at construction.  The header
+    is what a museb-1 file can hold: d, d' and k are stored as plain ints
+    and the label must be a str.
     """
 
     d: int
@@ -62,6 +66,10 @@ class BasisFamily:
     label: str = ""
 
     def __post_init__(self) -> None:
+        for name in ("d", "dprime", "k"):
+            object.__setattr__(self, name, _require_int(name, getattr(self, name)))
+        if not isinstance(self.label, str):
+            raise TypeError(f"label must be a str, got {type(self.label).__name__}")
         if self.d < 1 or self.dprime < 1:
             raise ValueError("dimensions must be positive")
         if not 1 <= self.k <= min(self.d, self.dprime):

@@ -13,7 +13,10 @@ from museb import (
     catalog,
     check_museb_set,
     check_sebk,
+    factorize,
     hs_inner,
+    is_prime,
+    mub_composite,
     mub_prime,
     mumeb_qubit,
     run_recipe,
@@ -254,3 +257,39 @@ def test_tensor_three_deep_keeps_certifying():
     out = tensor_families(r_set(), tensor_families(mub_prime(2), mumeb_qubit()))
     assert (out.d, out.dprime, out.k) == (4, 12, 4)
     assert check_museb_set(out).passed
+
+
+def kron_mub_composite(q):
+    """Unbiased bases of C^q as first written: np.kron of p x p basis matrices.
+
+    Column j of each matrix is vector j; the factors run in increasing
+    prime-power order, a copies of basis t of C^p for each p ** a.
+    """
+    parts = sorted(factorize(q), key=lambda pa: pa[0] ** pa[1])
+    mats = {p: [fam.elements[:, 0, :].T for fam in mub_prime(p)] for p, _ in parts}
+    bases = []
+    for t in range(min(p + 1 for p, _ in parts)):
+        full = np.eye(1, dtype=complex)
+        for p, a in parts:
+            for _ in range(a):
+                full = np.kron(full, mats[p][t])
+        bases.append(full.T)
+    return bases
+
+
+@pytest.mark.parametrize("q", [q for q in range(4, 73) if not is_prime(q)])
+def test_mub_composite_matches_the_kron_reference(q):
+    got = mub_composite(q)
+    want = kron_mub_composite(q)
+    assert len(got) == len(want)
+    assert [fam.label for fam in got] == [f"mub{q}.t{t}" for t in range(len(want))]
+    ulp = 2.0 ** -52
+    for fam, basis in zip(got, want):
+        assert fam.elements.shape == (q, 1, q)
+        assert np.max(np.abs(fam.elements[:, 0, :] - basis)) <= ulp
+    ref = FamilySet(tuple(
+        BasisFamily(1, q, 1, basis.reshape(q, 1, q), fam.label) for fam, basis in zip(got, want)
+    ))
+    got_report, ref_report = check_museb_set(got), check_museb_set(ref)
+    assert got_report.passed == ref_report.passed
+    assert abs(got_report.worst_violation - ref_report.worst_violation) <= q * ulp

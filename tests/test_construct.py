@@ -257,7 +257,10 @@ def test_factorize_and_is_prime():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
 
-@pytest.mark.parametrize("build", [is_prime, factorize, mub_composite, mub_prime])
+@pytest.mark.parametrize("build", [
+    is_prime, factorize, mub_composite, mub_prime,
+    lambda n: weyl_meb(n, 12), lambda n: weyl_meb(2, n),
+])
 @pytest.mark.parametrize("n", [12.0, 7.5, True, "6"])
 def test_dimension_arguments_must_be_integers(build, n):
     # a float or bool is never a dimension: refuse it rather than compute with it

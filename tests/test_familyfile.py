@@ -184,6 +184,19 @@ def test_matrix_rejects_malformed(tmp_path):
     # m69 is theorem3 on (2, 3) and (3, 3), byte for byte
     (lambda: run_recipe(RecipeSpec("m69")),
      "6302315a7afc699350701bc3d0e01e71d481709af893518659a290310716f18d"),
+    # mirrored, single-sided and composite leaves: (3, 2), (q, 1), (1, 12), (4, 4) and (6, 6)
+    (lambda: run_recipe(RecipeSpec("theorem3", {"d": 3, "dprime": 2, "p": 2, "q": 3})),
+     "f1022f9321094e8428d90fd0e00ffc642f9d9ab95df48be2803f3f38cd78e532"),
+    (lambda: run_recipe(RecipeSpec("theorem3", {"d": 4, "dprime": 1, "p": 1, "q": 1})),
+     "73110115fbbc59ecd151e18ae68637dddcce3403b35c8942d68283ec087b6c53"),
+    (lambda: run_recipe(RecipeSpec("theorem3", {"d": 6, "dprime": 1, "p": 1, "q": 1})),
+     "7d06352e040f53bf2476ebbcdbb533ca5c2491e743e90795d191ebe5e5fdc250"),
+    (lambda: run_recipe(RecipeSpec("theorem3", {"d": 6, "dprime": 6, "p": 1, "q": 1})),
+     "289722072bdb17ab5eb925f7253447efc3fbac2c3a47f8b4cd63bcb3318327e9"),
+    (lambda: run_recipe(RecipeSpec("corollary1_right", {"d": 2, "dprime": 3, "q": 12})),
+     "c8c18b5babf0f42305288e152ad88b2a7b8e76b2a3ccfcc141aa245b17da0829"),
+    (lambda: run_recipe(RecipeSpec("cor21k_mumeb", {"d": 4, "q": 1})),
+     "59f7f0cd66fe34591abbd068305dd368442c123f47739b4a7490b80e5b61bac7"),
 ])
 def test_saved_bytes_are_pinned(tmp_path, fs_builder, digest):
     path = tmp_path / "set.json"
@@ -294,3 +307,18 @@ def test_fuzzed_documents_raise_only_file_format_error(tmp_path, data):
         load_family_set(path)
     except FileFormatError:
         pass
+
+
+def test_numpy_integer_header_round_trips(tmp_path):
+    # numpy dimensions are stored as ints, so the JSON header is written, not refused
+    fam = catalog("R1")
+    fs = FamilySet((BasisFamily(np.int64(2), np.int32(3), np.int64(2), fam.elements, "R1"),))
+    assert [type(v) for v in (fs.d, fs.dprime, fs.k)] == [int, int, int]
+    path = tmp_path / "set.json"
+    save_family_set(fs, path)
+    back = load_family_set(path)
+    assert (back.d, back.dprime, back.k) == (2, 3, 2)
+    assert np.array_equal(back[0].elements, fam.elements)
+    plain = tmp_path / "plain.json"
+    save_family_set(FamilySet((fam,)), plain)
+    assert path.read_bytes() == plain.read_bytes()

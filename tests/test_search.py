@@ -118,6 +118,18 @@ def test_search_config_validation():
             SearchConfig(**{field: value})
 
 
+@pytest.mark.parametrize("step", [True, False, "0.25", None, 1j, float("nan"), 2.5])
+def test_step_scale_must_be_a_number_in_range(step):
+    # a bool once ran the walk at step 1.0 and a string escaped as a bare TypeError
+    with pytest.raises(ValueError, match="^step_scale must be a number in"):
+        SearchConfig(step_scale=step)
+
+
+def test_step_scale_takes_any_real_number_in_range():
+    for step in (2, 0.25, np.float32(0.5), np.int64(1)):
+        assert SearchConfig(step_scale=step).step_scale == step
+
+
 def test_sweep_validates_pairs():
     with pytest.raises(ValueError):
         closure_sweep(0)

@@ -103,6 +103,22 @@ def test_basis_family_validation():
         BasisFamily(2, 3, 2, bad)
 
 
+@pytest.mark.parametrize("header, refused", [
+    ({"d": 2.0, "dprime": 3.0}, "d must be an integer"),
+    ({"dprime": True}, "dprime must be an integer"),
+    ({"k": 1.5}, "k must be an integer"),
+    ({"k": "2"}, "k must be an integer"),
+    ({"label": None}, "label must be a str"),
+    ({"label": 7}, "label must be a str"),
+], ids=["float_dims", "bool_dprime", "fractional_k", "string_k", "label_none", "label_int"])
+def test_basis_family_refuses_headers_a_file_cannot_hold(header, refused):
+    # every header a BasisFamily accepts is one save_family_set writes and load_family_set reads
+    fields = {"d": 2, "dprime": 3, "k": 2, "elements": catalog("R1").elements, "label": "R1",
+              **header}
+    with pytest.raises(TypeError, match=refused):
+        BasisFamily(**fields)
+
+
 def test_family_set_requires_matching_signature():
     with pytest.raises(ShapeMismatch):
         FamilySet((catalog("R1"), catalog("S1")))
