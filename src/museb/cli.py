@@ -18,7 +18,9 @@ from .errors import MusebError, VerificationFailed
 from .matspace import is_unitary
 from .verify import BasisFamily, FamilySet, check_museb_set
 
-_RECIPE_PARAMETERS = ("d", "dprime", "p", "q", "k")
+# every recipe parameter name, in first-use order, each one a compose flag
+_RECIPE_PARAMETERS = tuple(dict.fromkeys(n for names, _, _ in compose._RECIPES.values()
+                                         for n in names))
 
 
 def _emit_family_set(fs: FamilySet, out: str | None) -> None:

@@ -10,6 +10,7 @@ function over numpy arrays; inputs are never mutated.
 
 from __future__ import annotations
 
+import numbers
 from typing import Any
 
 import numpy as np
@@ -24,9 +25,12 @@ __all__ = [
 
 
 def _check_tol(tol: float) -> None:
-    """The one tolerance rule, [0, 1e-3): a looser tol lets distinct structures pass as equal."""
-    if not (0.0 <= tol < 1e-3):
-        raise ValueError(f"tol must sit in [0, 1e-3), got {tol}")
+    """The one tolerance rule: a real number, never a bool, in [0, 1e-3).
+
+    A looser tol lets distinct structures pass as equal.
+    """
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 <= tol < 1e-3:
+        raise ValueError(f"tol must sit in [0, 1e-3), got {tol!r}")
 
 
 def _require_int(name: str, n) -> int:
@@ -75,5 +79,9 @@ def is_unitary(a: Any, tol: float = 1e-9) -> bool:
     n, m = am.shape
     if n != m:
         raise ShapeMismatch(f"unitarity requires a square matrix, got {am.shape}")
-    gram = am.conj().T @ am
-    return float(np.max(np.abs(gram - np.eye(n)))) <= tol
+    return _unitary_deviation(am) <= tol
+
+
+def _unitary_deviation(am: np.ndarray) -> float:
+    """Largest entry of |a^dagger a - I| for a square matrix."""
+    return float(np.max(np.abs(am.conj().T @ am - np.eye(am.shape[0]))))

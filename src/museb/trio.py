@@ -16,8 +16,8 @@ import numpy as np
 
 from .construct import catalog
 from .errors import NotCHM, ShapeMismatch
-from .matspace import _check_tol, as_matrix, is_unitary
-from .verify import Offender, VerificationReport, check_mu_pair
+from .matspace import _check_tol, _unitary_deviation, as_matrix, is_unitary
+from .verify import VerificationReport, _merge, check_mu_pair
 
 __all__ = [
     "ObstructionFinding",
@@ -53,9 +53,12 @@ def is_chm(w, tol: float = 1e-9) -> bool:
     n, m = wm.shape
     if n != m:
         raise ShapeMismatch(f"expected a square matrix, got {wm.shape}")
-    if not is_unitary(wm, tol):
-        return False
-    return float(np.max(np.abs(np.abs(wm) - 1.0 / np.sqrt(n)))) <= tol
+    return is_unitary(wm, tol) and _flatness_deviation(wm) <= tol
+
+
+def _flatness_deviation(wm: np.ndarray) -> float:
+    """Largest distance of a square matrix's moduli from 1/sqrt(n)."""
+    return float(np.max(np.abs(np.abs(wm) - 1.0 / np.sqrt(wm.shape[0]))))
 
 
 def _dephasing_scan(wm: np.ndarray, tol: float):
@@ -135,44 +138,28 @@ def theorem2_reproduce(tol: float = 1e-9) -> VerificationReport:
     f16 = catalog("eq16")
     f17 = catalog("eq17")
 
-    deviations: list[float] = []
-    offenders: list[Offender] = []
-    checks = 0
-    passed = True
-
-    def stage(idx: int, ok: bool, dev: float) -> None:
-        nonlocal checks, passed
-        checks += 1
-        deviations.append(dev)
-        if not (ok and dev <= tol):
-            passed = False
-            offenders.append((0, 0, idx, idx, dev))
-
-    eye = np.eye(6)
-    stage(0, True, float(np.max(np.abs(u.conj().T @ u - eye))))
-    stage(1, True, float(np.max(np.abs(v.conj().T @ v - eye))))
-
-    stage(2, True, float(np.max(np.abs(u.T.reshape(6, 2, 3) - f16.elements))))
-    stage(3, True, float(np.max(np.abs(v.T.reshape(6, 2, 3) - f17.elements))))
-
-    mu = check_mu_pair(f16, f17, tol)
-    stage(4, mu.passed, mu.worst_violation)
-
     w = u.conj().T @ v
+    mu = check_mu_pair(f16, f17, tol)
     chm = is_chm(w, tol)
-    stage(5, chm, float(np.max(np.abs(np.abs(w) - 1.0 / np.sqrt(6)))))
-
-    s6 = np.sqrt(6.0)
-    target = np.array([[-1 / s6, -1 / s6, 1 / s6], [1 / s6, 1 / s6, 1 / s6]])
-    stage(6, True, float(np.max(np.abs((w @ q)[4:6, 0:3] - target))))
-
     # the scan refuses a non-Hadamard W, which leaves nothing obstructed
     finding = dephased_obstruction(w, tol) if chm else ObstructionFinding(obstructed=False)
-    stage(7, finding.obstructed, _validate_witness(w, finding) if finding.obstructed else 1.0)
+    s6 = np.sqrt(6.0)
+    target = np.array([[-1 / s6, -1 / s6, 1 / s6], [1 / s6, 1 / s6, 1 / s6]])
+    stages = [
+        (True, _unitary_deviation(u)),
+        (True, _unitary_deviation(v)),
+        (True, float(np.max(np.abs(u.T.reshape(6, 2, 3) - f16.elements)))),
+        (True, float(np.max(np.abs(v.T.reshape(6, 2, 3) - f17.elements)))),
+        (mu.passed, mu.worst_violation),
+        (chm, _flatness_deviation(w)),
+        (True, float(np.max(np.abs((w @ q)[4:6, 0:3] - target)))),
+        (finding.obstructed, _validate_witness(w, finding) if finding.obstructed else 1.0),
+    ]
+    return _merge([(0, 0, _stage(idx, ok, dev, tol)) for idx, (ok, dev) in enumerate(stages)])
 
-    return VerificationReport(
-        passed=passed,
-        worst_violation=float(max(deviations)),
-        offenders=tuple(offenders),
-        checks_run=checks,
-    )
+
+def _stage(idx: int, ok: bool, dev: float, tol: float) -> VerificationReport:
+    # a one-check report; a failing stage names its index as both i and j
+    dev = float(dev)
+    passed = ok and dev <= tol
+    return VerificationReport(passed, dev, () if passed else ((0, 0, idx, idx, dev),), 1)

@@ -36,7 +36,9 @@ __all__ = [
 MAX_OFFENDERS = 32
 
 
-# (family_i, family_j, element_i, element_j, measured value)
+# (family_i, family_j, i, j, measured value): i is the element index; j is
+# the element index in Gram and pair stages and the singular-value index in
+# the spectrum stage; theorem2_reproduce stores its stage index in both
 Offender = tuple[int, int, int, int, float]
 
 
@@ -100,6 +102,11 @@ class FamilySet:
 
     def __post_init__(self) -> None:
         fams = tuple(self.families)
+        for fam in fams:
+            if not isinstance(fam, BasisFamily):
+                raise TypeError(
+                    f"a family set holds BasisFamily members, got {type(fam).__name__}"
+                )
         sigs = {(f.d, f.dprime, f.k) for f in fams}
         if len(sigs) > 1:
             raise ShapeMismatch(f"families disagree on (d, d', k): {sorted(sigs)}")
@@ -155,6 +162,28 @@ def schmidt_number(a, tol: float = 1e-9) -> int:
     return int(np.count_nonzero(sv > tol))
 
 
+def _entries(dev: np.ndarray, measured: np.ndarray, tol: float, checks: int,
+             pair: tuple[int, int]) -> VerificationReport:
+    """One stage: entries whose dev exceeds tol offend, in row-major order, capped."""
+    worst = float(dev.max(initial=0.0))
+    offenders = tuple(
+        (*pair, int(i), int(j), float(np.abs(measured[i, j])))
+        for i, j in np.argwhere(dev > tol)[:MAX_OFFENDERS]
+    )
+    return VerificationReport(worst <= tol, worst, offenders, checks)
+
+
+def _merge(parts: list[tuple[int, int, VerificationReport]]) -> VerificationReport:
+    """Combine (fi, fj, report) stages in order, relabelling offenders (fi, fj), capped."""
+    relabelled = ((fi, fj, *off[2:]) for fi, fj, rep in parts for off in rep.offenders)
+    return VerificationReport(
+        passed=all(rep.passed for _, _, rep in parts),
+        worst_violation=max(rep.worst_violation for _, _, rep in parts),
+        offenders=tuple(itertools.islice(relabelled, MAX_OFFENDERS)),
+        checks_run=sum(rep.checks_run for _, _, rep in parts),
+    )
+
+
 def check_sebk(family: BasisFamily, tol: float = 1e-9) -> VerificationReport:
     """Certify that a family is an orthonormal basis of uniform Schmidt rank.
 
@@ -171,28 +200,13 @@ def check_sebk(family: BasisFamily, tol: float = 1e-9) -> VerificationReport:
     target = np.zeros(small)
     target[: family.k] = 1.0 / np.sqrt(family.k)
     sv_dev = np.abs(sv - target)
+    # one offender per element: its worst singular value
+    worst_sv = np.arange(small) == sv_dev.argmax(axis=1)[:, None]
+    spectrum = _entries(np.where(worst_sv, sv_dev, 0.0), sv, tol, n, (0, 0))
 
     gram = _overlap_gram(el, el)
-    gram_dev = np.abs(gram - np.eye(n))
-
-    offenders: list[Offender] = []
-    for i in np.flatnonzero(sv_dev.max(axis=1) > tol):
-        pos = int(np.argmax(sv_dev[i]))
-        offenders.append((0, 0, int(i), pos, float(sv[i, pos])))
-        if len(offenders) >= MAX_OFFENDERS:
-            break
-    if len(offenders) < MAX_OFFENDERS:
-        bad = np.argwhere(gram_dev > tol)
-        for i, j in bad[: MAX_OFFENDERS - len(offenders)]:
-            offenders.append((0, 0, int(i), int(j), float(np.abs(gram[i, j]))))
-
-    worst = float(max(sv_dev.max(initial=0.0), gram_dev.max(initial=0.0)))
-    return VerificationReport(
-        passed=worst <= tol,
-        worst_violation=worst,
-        offenders=tuple(offenders),
-        checks_run=n + n * n,
-    )
+    orthonormality = _entries(np.abs(gram - np.eye(n)), gram, tol, n * n, (0, 0))
+    return _merge([(0, 0, spectrum), (0, 0, orthonormality)])
 
 
 def check_mu_pair(
@@ -206,20 +220,7 @@ def check_mu_pair(
         )
     target = 1.0 / np.sqrt(f.d * f.dprime)
     mags = np.abs(_overlap_gram(f.elements, g.elements))
-    dev = np.abs(mags - target)
-
-    offenders: list[Offender] = []
-    for i, j in np.argwhere(dev > tol)[:MAX_OFFENDERS]:
-        offenders.append((0, 1, int(i), int(j), float(mags[i, j])))
-
-    worst = float(dev.max(initial=0.0))
-    n = len(f)
-    return VerificationReport(
-        passed=worst <= tol,
-        worst_violation=worst,
-        offenders=tuple(offenders),
-        checks_run=n * n,
-    )
+    return _entries(np.abs(mags - target), mags, tol, len(f) * len(f), (0, 1))
 
 
 def check_museb_set(s: FamilySet, tol: float = 1e-9) -> VerificationReport:
@@ -231,28 +232,8 @@ def check_museb_set(s: FamilySet, tol: float = 1e-9) -> VerificationReport:
     """
     _check_tol(tol)
     s._require_nonempty()
-    worst = 0.0
-    checks = 0
-    passed = True
-    offenders: list[Offender] = []
-
-    def absorb(fi: int, fj: int, rep: VerificationReport) -> None:
-        nonlocal worst, checks, passed
-        worst = max(worst, rep.worst_violation)
-        checks += rep.checks_run
-        passed = passed and rep.passed
-        for _, _, i, j, val in rep.offenders:
-            if len(offenders) < MAX_OFFENDERS:
-                offenders.append((fi, fj, i, j, val))
-
-    for fi, fam in enumerate(s.families):
-        absorb(fi, fi, check_sebk(fam, tol))
-    for fi, fj in itertools.combinations(range(len(s.families)), 2):
-        absorb(fi, fj, check_mu_pair(s.families[fi], s.families[fj], tol))
-
-    return VerificationReport(
-        passed=passed,
-        worst_violation=worst,
-        offenders=tuple(offenders),
-        checks_run=checks,
-    )
+    fams = s.families
+    parts = [(fi, fi, check_sebk(fam, tol)) for fi, fam in enumerate(fams)]
+    parts += [(fi, fj, check_mu_pair(fams[fi], fams[fj], tol))
+              for fi, fj in itertools.combinations(range(len(fams)), 2)]
+    return _merge(parts)

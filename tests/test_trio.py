@@ -161,6 +161,19 @@ def test_theorem2_reproduce_at_zero_tolerance_fails_without_raising():
     assert (0, 0, 7, 7, 1.0) in rep.offenders
 
 
+@pytest.mark.parametrize("tol, passed, offenders", [
+    (1e-16, False, [(0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 7, 7)]),
+    (1e-9, True, []),
+])
+def test_theorem2_reproduce_reports_are_pinned(tol, passed, offenders):
+    # offender i and j both hold the stage index; at 1e-16 the two unitarity
+    # stages miss by rounding and the skipped scan fails stage 7
+    rep = theorem2_reproduce(tol)
+    assert rep.passed is passed
+    assert rep.checks_run == 8
+    assert [o[:4] for o in rep.offenders] == offenders
+
+
 def test_corrector_makes_lower_left_block_real():
     w = builtin_w() @ catalog("Q")
     s6 = np.sqrt(6.0)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ TOL_TAKERS = {
 @pytest.mark.parametrize("name", list(TOL_TAKERS))
 def test_every_tol_rejects_loose_tolerances(name):
     call = TOL_TAKERS[name]
-    for bad in (1e-3, -1e-12):
+    for bad in (1e-3, -1e-12, False, "1e-9", None):
         with pytest.raises(ValueError, match=r"tol must sit in \[0, 1e-3\)"):
             call(bad)
     for good in (0.0, 9.9e-4):
@@ -124,6 +125,14 @@ def test_family_set_requires_matching_signature():
         FamilySet((catalog("R1"), catalog("S1")))
 
 
+def test_family_set_refuses_members_that_are_not_families():
+    # a bare BasisFamily iterates its element matrices, which name their type
+    with pytest.raises(TypeError, match="BasisFamily members, got ndarray"):
+        FamilySet(weyl_meb(2, 3))
+    with pytest.raises(TypeError, match="got str"):
+        FamilySet((catalog("R1"), "R2"))
+
+
 def test_check_sebk_accepts_catalog_families():
     for name in ("R1", "R2", "S1", "S2", "S3", "T1", "T2", "T3"):
         rep = check_sebk(catalog(name))
@@ -132,13 +141,18 @@ def test_check_sebk_accepts_catalog_families():
         assert rep.offenders == ()
 
 
-def test_check_sebk_checks_spectrum_not_just_orthonormality():
+def skewed_r1():
     # rotate two basis elements into each other: still an orthonormal
     # basis, but the combined states have unbalanced Schmidt coefficients
     el = np.array(catalog("R1").elements)
     c, s = 0.8, 0.6
     el[0], el[1] = c * el[0] + s * el[1], -s * el[0] + c * el[1]
-    skewed_fam = BasisFamily(2, 3, 2, el)
+    return BasisFamily(2, 3, 2, el)
+
+
+def test_check_sebk_checks_spectrum_not_just_orthonormality():
+    skewed_fam = skewed_r1()
+    el = skewed_fam.elements
     gram = np.einsum("aij,bij->ab", el.conj(), el)
     assert np.max(np.abs(gram - np.eye(6))) < 1e-12
     rep = check_sebk(skewed_fam)
@@ -232,18 +246,25 @@ def test_unit_phases_and_reordering_do_not_affect_verdicts():
     assert check_mu_pair(catalog("R1"), fam).passed
 
 
-def test_offender_cap():
+def nine_copies_of_s1():
     # nine copies of the same element: every Gram entry offends at once
-    el = np.repeat(catalog("S1").elements[:1], 9, axis=0)
-    rep = check_sebk(BasisFamily(3, 3, 3, el))
+    return BasisFamily(3, 3, 3, np.repeat(catalog("S1").elements[:1], 9, axis=0))
+
+
+def test_offender_cap():
+    rep = check_sebk(nine_copies_of_s1())
     assert not rep.passed
     assert len(rep.offenders) == MAX_OFFENDERS
 
 
-def test_failed_pair_reports_offending_indices():
+def r2_with_r1_planted():
     el = np.array(catalog("R2").elements)
     el[4] = catalog("R1").elements[0]  # plant a colliding element
-    rep = check_mu_pair(catalog("R1"), BasisFamily(2, 3, 2, el))
+    return BasisFamily(2, 3, 2, el)
+
+
+def test_failed_pair_reports_offending_indices():
+    rep = check_mu_pair(catalog("R1"), r2_with_r1_planted())
     assert not rep.passed
     assert any(i == 0 and j == 4 for _, _, i, j, _ in rep.offenders)
 
@@ -410,3 +431,48 @@ def test_report_is_invariant_under_symmetries(symmetry, name, variant, seed):
     assert got.checks_run == want.checks_run
     bound = fs.d * fs.dprime * 2.0**-52
     assert abs(got.worst_violation - want.worst_violation) <= bound
+
+
+def merged_report(fs, tol):
+    # the one merge rule, spelled out on the public stage reports: family
+    # reports first, then pairs, offenders relabelled and capped
+    parts = [(fi, fi, check_sebk(fam, tol)) for fi, fam in enumerate(fs)]
+    parts += [(fi, fj, check_mu_pair(fs[fi], fs[fj], tol))
+              for fi, fj in itertools.combinations(range(len(fs)), 2)]
+    reports = [rep for _, _, rep in parts]
+    offenders = [(fi, fj, *o[2:]) for fi, fj, rep in parts for o in rep.offenders]
+    return (all(r.passed for r in reports), max(r.worst_violation for r in reports),
+            tuple(offenders[:MAX_OFFENDERS]), sum(r.checks_run for r in reports))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(list(REGRESSION_SETS)), variant=st.sampled_from(VARIANTS),
+       tol=st.sampled_from([0.0, 1e-16, 1e-12, 1e-9, 1e-6, 9.99e-4]))
+def test_set_report_is_the_merge_of_its_stage_reports(name, variant, tol):
+    fs = variant_of(regression_set(name), variant)
+    rep = check_museb_set(fs, tol)
+    assert (rep.passed, rep.worst_violation, rep.offenders, rep.checks_run) == \
+        merged_report(fs, tol)
+
+
+# failures well clear of tol = 1e-9, so their offender indices do not
+# depend on rounding: (passed, checks_run, [o[:4] for o in offenders])
+PINNED_FAILURES = {
+    "skewed_R1_spectrum": (lambda: check_sebk(skewed_r1()), 42,
+                           [(0, 0, 0, 1), (0, 0, 1, 1)]),
+    "nine_copies_cap": (lambda: check_sebk(nine_copies_of_s1()), 90,
+                        [(0, 0, i, j) for i in range(9) for j in range(9) if i != j][:32]),
+    "planted_pair": (lambda: check_mu_pair(catalog("R1"), r2_with_r1_planted()), 36,
+                     [(0, 1, i, 4) for i in range(6)]),
+    "weyl33_claimed_k1": (lambda: check_sebk(BasisFamily(3, 3, 1, weyl_meb(3, 3).elements)),
+                          90, [(0, 0, i, 1) for i in range(9)]),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_FAILURES))
+def test_failure_reports_are_pinned(name):
+    build, checks, offenders = PINNED_FAILURES[name]
+    rep = build()
+    assert rep.passed is False
+    assert rep.checks_run == checks
+    assert [o[:4] for o in rep.offenders] == offenders
