@@ -3,12 +3,19 @@
 The on-disk format, tagged "museb-1", stores every complex entry as a
 [real, imag] pair.  Python's float repr round-trips doubles exactly, so a
 save/load cycle reproduces arrays bit for bit.
+
+Built-in witnesses draw their entries from a few scaled roots of unity,
+so both directions convert each distinct value once: the writer reprs
+each distinct entry bit pattern once (_dumps_stack) and the reader parses
+each distinct number text once (_read_json).  The written text is exactly
+json.dumps of the entry lists.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from typing import Any, TextIO
 
@@ -53,7 +60,29 @@ def matrix_from_list(data: Any) -> np.ndarray:
     if not (kinds := set(map(type, scalars))) <= {float, int}:
         names = ", ".join(sorted(t.__name__ for t in kinds - {float, int}))
         raise FileFormatError(f"matrix entries must be numbers, got {names}")
-    return arr[..., 0] + 1j * arr[..., 1]
+    # set the parts, not re + 1j * im: that sum turns a -0.0 imaginary part into 0.0
+    out = np.empty(arr.shape[:-1], dtype=complex)
+    out.real, out.imag = arr[..., 0], arr[..., 1]
+    return out
+
+
+def _dumps_stack(mat: np.ndarray) -> str:
+    """The text of json.dumps(matrix_to_list(mat)), one repr per distinct entry.
+
+    Entries are told apart by their bit patterns, so -0.0 and 0.0 keep
+    their own tokens.  Callers pass finite entries only: repr of a finite
+    double is the token json.dumps writes.
+    """
+    arr = np.ascontiguousarray(mat, dtype=complex)
+    bits = arr.reshape(-1).view(np.dtype((np.void, 16)))
+    uniq, inverse = np.unique(bits, return_inverse=True)
+    tokens = [f"[{z.real!r}, {z.imag!r}]" for z in uniq.view(complex).tolist()]
+    items = [tokens[i] for i in inverse.tolist()]
+    for axis in range(arr.ndim - 1, -1, -1):  # close the innermost axis first
+        n = arr.shape[axis]
+        items = ["[" + ", ".join(items[i * n:(i + 1) * n]) + "]"
+                 for i in range(math.prod(arr.shape[:axis]))]
+    return items[0]
 
 
 def _header(fs: FamilySet) -> dict[str, Any]:
@@ -72,12 +101,16 @@ def family_set_to_dict(fs: FamilySet) -> dict[str, Any]:
     return {**_header(fs), "bases": [matrix_to_list(fam.elements) for fam in fs]}
 
 
-def family_set_from_dict(doc: Any) -> FamilySet:
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"expected a JSON object, got {type(doc).__name__}")
+def _check_version(doc: dict[str, Any]) -> None:
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise FileFormatError(f"unsupported format_version {version!r}; expected {FORMAT_VERSION!r}")
+
+
+def family_set_from_dict(doc: Any) -> FamilySet:
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"expected a JSON object, got {type(doc).__name__}")
+    _check_version(doc)
     try:
         d, dprime, k, bases = (doc[key] for key in ("d", "dprime", "k", "bases"))
     except KeyError as exc:
@@ -110,14 +143,14 @@ def family_set_from_dict(doc: Any) -> FamilySet:
 def _write_family_set(fs: FamilySet, fh: TextIO) -> None:
     """Write the text of json.dumps(family_set_to_dict(fs)) plus a newline.
 
-    json.dumps runs the C encoder (json.dump streams through the Python
-    one); calling it once per basis keeps only one basis as Python floats.
+    Each basis is encoded on its own by _dumps_stack, so only one basis's
+    text is held at a time.
     """
     fh.write(json.dumps(_header(fs))[:-1] + ', "bases": [')
     for i, fam in enumerate(fs):
         if i:
             fh.write(", ")
-        fh.write(json.dumps(matrix_to_list(fam.elements)))
+        fh.write(_dumps_stack(fam.elements))
     fh.write("]}\n")
 
 
@@ -127,10 +160,19 @@ def save_family_set(fs: FamilySet, path: str | os.PathLike) -> None:
         _write_family_set(fs, fh)
 
 
+class _FloatMemo(dict):
+    """Number text -> float, parsed on first sight; keyed by text, so "-0.0" stays apart."""
+
+    def __missing__(self, text: str) -> float:
+        self[text] = value = float(text)
+        return value
+
+
 def _read_json(path: str | os.PathLike) -> Any:
+    # a fresh memo per file: repeated values share one float object
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_float=_FloatMemo().__getitem__)
         except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
             raise FileFormatError(f"not valid JSON: {exc}") from exc
 
@@ -140,20 +182,24 @@ def load_family_set(path: str | os.PathLike) -> FamilySet:
 
 
 def dumps_matrix(mat: np.ndarray) -> str:
-    """The museb-1 matrix document as one line of JSON text."""
-    return json.dumps({"format_version": FORMAT_VERSION, "matrix": matrix_to_list(mat)})
+    """The museb-1 matrix document as one line of JSON text; entries must be finite."""
+    arr = np.asarray(mat, dtype=complex)
+    if not np.isfinite(arr).all():  # NaN and Infinity are not JSON numbers
+        raise ValueError("matrix entries must be finite")
+    return json.dumps({"format_version": FORMAT_VERSION})[:-1] + f', "matrix": {_dumps_stack(arr)}}}'
 
 
 def save_matrix(mat: np.ndarray, path: str | os.PathLike) -> None:
+    text = dumps_matrix(mat)  # refuses non-finite entries before the file is created
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_matrix(mat))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_matrix(path: str | os.PathLike) -> np.ndarray:
-    """Read a matrix file; bare nested lists are accepted alongside the tagged form."""
+    """Read a matrix file; bare nested lists are accepted alongside the museb-1 tagged form."""
     doc = _read_json(path)
     if isinstance(doc, dict):
+        _check_version(doc)
         if "matrix" not in doc:
             raise FileFormatError("matrix file must carry a 'matrix' field")
         doc = doc["matrix"]

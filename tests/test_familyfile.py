@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from museb import (
     save_matrix,
     weyl_meb,
 )
-from museb.familyfile import matrix_to_list
+from museb.familyfile import _dumps_stack, dumps_matrix, matrix_from_list, matrix_to_list
 
 
 def r_set():
@@ -197,6 +198,8 @@ def test_matrix_rejects_malformed(tmp_path):
      "c8c18b5babf0f42305288e152ad88b2a7b8e76b2a3ccfcc141aa245b17da0829"),
     (lambda: run_recipe(RecipeSpec("cor21k_mumeb", {"d": 4, "q": 1})),
      "59f7f0cd66fe34591abbd068305dd368442c123f47739b4a7490b80e5b61bac7"),
+    # 303,372 doubles drawn from 103 distinct number texts
+    (lambda: mub_prime(53), "3c3808b0a15e1d26ebe515d8970f05245856cc7f3ce07359c6a0e61b37bd278e"),
 ])
 def test_saved_bytes_are_pinned(tmp_path, fs_builder, digest):
     path = tmp_path / "set.json"
@@ -211,6 +214,119 @@ def test_matrix_to_list_matches_per_entry_conversion():
     # compared as JSON text so that -0.0 and 0.0 count as different
     assert json.dumps(matrix_to_list(mat)) == json.dumps(per_entry)
     assert json.dumps(matrix_to_list(mat[None])) == json.dumps([per_entry])
+
+
+_BIG = 1.7976931348623157e308  # the largest finite double
+_EDGE = np.array([[complex(-0.0, -0.0), complex(5e-324, -_BIG), complex(-0.0, -0.0)],
+                  [complex(_BIG, 5e-324), complex(0.0, -0.0), complex(5e-324, -_BIG)]])
+
+
+def _per_entry_document(mat):
+    rows = [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+    return json.dumps({"format_version": "museb-1", "matrix": rows})
+
+
+def test_matrix_text_is_pinned_at_the_edges_of_float_repr():
+    # signed zeros, the smallest subnormal, the largest double and repeats
+    text = dumps_matrix(_EDGE)
+    assert text == (
+        '{"format_version": "museb-1", "matrix": [[[-0.0, -0.0], '
+        '[5e-324, -1.7976931348623157e+308], [-0.0, -0.0]], '
+        '[[1.7976931348623157e+308, 5e-324], [0.0, -0.0], '
+        '[5e-324, -1.7976931348623157e+308]]]}'
+    )
+    assert text == _per_entry_document(_EDGE)
+    # a transposed view is not C-contiguous
+    assert not _EDGE.T.flags["C_CONTIGUOUS"]
+    text_t = dumps_matrix(_EDGE.T)
+    assert text_t == (
+        '{"format_version": "museb-1", "matrix": [[[-0.0, -0.0], '
+        '[1.7976931348623157e+308, 5e-324]], '
+        '[[5e-324, -1.7976931348623157e+308], [0.0, -0.0]], '
+        '[[-0.0, -0.0], [5e-324, -1.7976931348623157e+308]]]}'
+    )
+    assert text_t == _per_entry_document(_EDGE.T)
+
+
+# few values, so that repeats are common: signed zeros, subnormals, the
+# largest double, pi and the 1/sqrt(53) of mub_prime(53), each with both signs
+_POOL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, _BIG, -_BIG, math.pi, -math.pi,
+         1 / math.sqrt(53), -1 / math.sqrt(53)]
+
+
+@st.composite
+def _pooled(draw, shape):
+    n = math.prod(shape)
+    arr = np.empty(shape, complex)  # real and imag set apart, so -0.0 survives
+    arr.real = np.reshape(draw(st.lists(st.sampled_from(_POOL), min_size=n, max_size=n)), shape)
+    arr.imag = np.reshape(draw(st.lists(st.sampled_from(_POOL), min_size=n, max_size=n)), shape)
+    return arr
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), ndim=st.sampled_from([2, 3]), transposed=st.booleans())
+def test_stack_encoder_is_the_json_encoder(data, ndim, transposed):
+    shape = tuple(data.draw(st.integers(1, 4)) for _ in range(ndim))  # length-1 axes too
+    x = data.draw(_pooled(shape))
+    if transposed:
+        x = x.swapaxes(-1, -2)
+    assert _dumps_stack(x) == json.dumps(matrix_to_list(x))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), d=st.integers(1, 3), dprime=st.integers(1, 3), n=st.integers(1, 3))
+def test_pooled_sets_and_matrices_round_trip_bit_for_bit(tmp_path, data, d, dprime, n):
+    fs = FamilySet(tuple(BasisFamily(d, dprime, 1, data.draw(_pooled((d * dprime, d, dprime))),
+                                     f"f{i}") for i in range(n)))
+    path = tmp_path / "set.json"
+    save_family_set(fs, path)
+    back = load_family_set(path)
+    assert len(back) == n
+    assert all(_same_bits(a.elements, b.elements) for a, b in zip(fs, back))
+
+    mat = data.draw(_pooled((d, dprime)))
+    save_matrix(mat, path)
+    loaded = load_matrix(path)
+    assert _same_bits(loaded, mat)
+    assert _same_bits(loaded, matrix_from_list(json.loads(path.read_text())["matrix"]))
+
+
+def test_loaded_signed_zeros_keep_their_sign(tmp_path):
+    # re + 1j * im would turn every -0.0 imaginary part into 0.0
+    path = tmp_path / "edge.json"
+    save_matrix(_EDGE, path)
+    assert _same_bits(load_matrix(path), _EDGE)
+    assert np.signbit(load_matrix(path).imag).tolist() == [[True, True, True], [False, True, True]]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)])
+def test_matrix_writer_refuses_non_finite_entries(tmp_path, bad):
+    mat = np.array([[1.0, bad]])
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        dumps_matrix(mat)
+    path = tmp_path / "m.json"
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        save_matrix(mat, path)
+    assert not path.exists()
+
+
+def test_tagged_matrix_files_must_carry_museb_1(tmp_path):
+    path = tmp_path / "m.json"
+    for doc in ({"format_version": "museb-9", "matrix": [[[1.0, 0.0]]]},
+                {"matrix": [[[1.0, 0.0]]]}):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match="unsupported format_version"):
+            load_matrix(path)
+    path.write_text(json.dumps({"format_version": "museb-1", "matrix": [[[1.0, 0.0]]]}))
+    assert np.array_equal(load_matrix(path), np.array([[1.0]]))
+    path.write_text(json.dumps({"format_version": "museb-1", "matrix": [[[[1.0, 0.0]]]]}))
+    with pytest.raises(FileFormatError, match="expected one matrix"):
+        load_matrix(path)
 
 
 def test_saved_text_is_the_one_shot_encoding(tmp_path):
