@@ -5,10 +5,10 @@ The on-disk format, tagged "museb-1", stores every complex entry as a
 save/load cycle reproduces arrays bit for bit.
 
 Built-in witnesses draw their entries from a few scaled roots of unity,
-so both directions convert each distinct value once: the writer reprs
-each distinct entry bit pattern once (_dumps_stack) and the reader parses
-each distinct number text once (_read_json).  The written text is exactly
-json.dumps of the entry lists.
+so the writer reprs each distinct entry bit pattern once (_dumps_stack);
+its text is exactly json.dumps of the entry lists.  The reader is plain
+json.load: memoising float parsing by number text doubled the load time
+and peak memory of files whose values do not repeat.
 """
 
 from __future__ import annotations
@@ -60,10 +60,9 @@ def matrix_from_list(data: Any) -> np.ndarray:
     if not (kinds := set(map(type, scalars))) <= {float, int}:
         names = ", ".join(sorted(t.__name__ for t in kinds - {float, int}))
         raise FileFormatError(f"matrix entries must be numbers, got {names}")
-    # set the parts, not re + 1j * im: that sum turns a -0.0 imaginary part into 0.0
-    out = np.empty(arr.shape[:-1], dtype=complex)
-    out.real, out.imag = arr[..., 0], arr[..., 1]
-    return out
+    # view the fresh [real, imag] pairs as complex, not re + 1j * im: that sum
+    # turns a -0.0 imaginary part into 0.0
+    return arr.view(complex)[..., 0]
 
 
 def _dumps_stack(mat: np.ndarray) -> str:
@@ -160,19 +159,10 @@ def save_family_set(fs: FamilySet, path: str | os.PathLike) -> None:
         _write_family_set(fs, fh)
 
 
-class _FloatMemo(dict):
-    """Number text -> float, parsed on first sight; keyed by text, so "-0.0" stays apart."""
-
-    def __missing__(self, text: str) -> float:
-        self[text] = value = float(text)
-        return value
-
-
 def _read_json(path: str | os.PathLike) -> Any:
-    # a fresh memo per file: repeated values share one float object
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, parse_float=_FloatMemo().__getitem__)
+            return json.load(fh)
         except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
             raise FileFormatError(f"not valid JSON: {exc}") from exc
 
@@ -204,6 +194,8 @@ def load_matrix(path: str | os.PathLike) -> np.ndarray:
             raise FileFormatError("matrix file must carry a 'matrix' field")
         doc = doc["matrix"]
     mat = matrix_from_list(doc)
+    if not np.isfinite(mat).all():  # a number such as 1e999 parses as inf
+        raise FileFormatError("matrix entries must be finite")
     if mat.ndim != 2:
         raise FileFormatError(f"expected one matrix, got an array of shape {mat.shape}")
     return mat

@@ -146,14 +146,14 @@ def test_matrix_accepts_bare_nested_lists(tmp_path):
 
 def test_matrix_rejects_malformed(tmp_path):
     path = tmp_path / "m.json"
-    path.write_text(json.dumps({"nope": 1}))
-    with pytest.raises(FileFormatError):
+    path.write_text(json.dumps({"format_version": "museb-1", "nope": 1}))
+    with pytest.raises(FileFormatError, match="must carry a 'matrix' field"):
         load_matrix(path)
     path.write_text(json.dumps([[1.0, 2.0]]))
     with pytest.raises(FileFormatError):
         load_matrix(path)
-    path.write_text(json.dumps({"matrix": [[[[1.0, 0.0]]]]}))  # a stack, not one matrix
-    with pytest.raises(FileFormatError):
+    path.write_text(json.dumps({"format_version": "museb-1", "matrix": [[[[1.0, 0.0]]]]}))
+    with pytest.raises(FileFormatError, match="expected one matrix"):  # a stack
         load_matrix(path)
     for entry in (["1.0", 0.0], [1.0, False], [None, 0.0]):
         path.write_text(json.dumps([[[0.0, 1.0], entry], [[0.0, 1.0], [1.0, 0.0]]]))
@@ -324,8 +324,14 @@ def test_tagged_matrix_files_must_carry_museb_1(tmp_path):
             load_matrix(path)
     path.write_text(json.dumps({"format_version": "museb-1", "matrix": [[[1.0, 0.0]]]}))
     assert np.array_equal(load_matrix(path), np.array([[1.0]]))
-    path.write_text(json.dumps({"format_version": "museb-1", "matrix": [[[[1.0, 0.0]]]]}))
-    with pytest.raises(FileFormatError, match="expected one matrix"):
+
+
+@pytest.mark.parametrize("text", ['[[[1e999, 0.0]]]', '[[[0.0, -1e999]]]',
+                                  '{"format_version": "museb-1", "matrix": [[[1e999, 0.0]]]}'])
+def test_matrix_reader_refuses_overflowing_numbers(tmp_path, text):
+    path = tmp_path / "m.json"
+    path.write_text(text)  # the number parses as inf; the writer never emits it
+    with pytest.raises(FileFormatError, match="matrix entries must be finite"):
         load_matrix(path)
 
 
