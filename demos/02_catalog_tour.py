@@ -20,7 +20,7 @@ sets = {
 for name, fs in sets.items():
     rep = check_museb_set(fs)
     target = 1 / np.sqrt(fs.d * fs.dprime)
-    print(f"{name}: {fs.witness_count} bases of C^{fs.d} (x) C^{fs.dprime}")
+    print(f"{name}: {len(fs)} bases of C^{fs.d} (x) C^{fs.dprime}")
     print(f"  certified: {rep.passed}  worst violation {rep.worst_violation:.2e}"
           f"  cross overlap target {target:.4f}")
     print(f"  Schmidt number of a sample element: {schmidt_number(fs[0][1])}")

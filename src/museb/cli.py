@@ -62,7 +62,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.k is not None:
         fs = FamilySet(tuple(dataclasses.replace(f, k=args.k) for f in fs))
     report = check_museb_set(fs, args.tol)
-    print(f"witness_count: {fs.witness_count}")
+    print(f"witness_count: {len(fs)}")
     print(f"dims: {fs.d} x {fs.dprime}, k={fs.k}")
     print(f"checks_run: {report.checks_run}")
     print(f"worst_violation: {report.worst_violation:.6e}")
@@ -77,7 +77,7 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     if args.recipe != "tensor":
         if args.inputs:
             raise ValueError(f"recipe {args.recipe!r} takes parameters, not input files")
-        result = compose.run_recipe(compose.RecipeSpec(args.recipe, params), args.tol)
+        result = compose.run_recipe(args.recipe, args.tol, **params)
     else:
         if len(args.inputs) != 2:
             raise ValueError("compose tensor needs exactly two input files")
@@ -134,7 +134,7 @@ def _cmd_trio(args: argparse.Namespace) -> int:
 
 def _cmd_third_basis(args: argparse.Namespace) -> int:
     cfg = search.SearchConfig(seed=args.seed, max_iterations=args.iterations,
-                              step_scale=args.step, restarts=args.restarts)
+                              restarts=args.restarts)
     outcome = search.third_basis_search(cfg)
     print(f"best_cost: {outcome.best_cost!r}")
     print(f"iterations_used: {outcome.iterations_used}")
@@ -214,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     s_tb.set_defaults(func=_cmd_third_basis)
     s_tb.add_argument("--iterations", type=int, default=300)
     s_tb.add_argument("--restarts", type=int, default=4)
-    s_tb.add_argument("--step", type=float, default=0.25)
 
     s_cl = seasub.add_parser("closure", parents=[tol, seed], help="sample mixer products")
     s_cl.set_defaults(func=_cmd_closure)

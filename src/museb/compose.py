@@ -9,16 +9,18 @@ makes the count, the rank, and the unbiasedness all survive.
 tensor_families is the package's one Kronecker kernel: the composite
 built-in sets are left folds of it over prime-dimension sets.
 
-run_recipe packages named applications of this rule.  Each recipe is a
-tree whose leaves are built-in sets for dimension pairs (d, d') and whose
-nodes tensor or transpose; every subtree is certified before it is used
-and the output once more, so a returned set is always a certified witness.
+run_recipe packages named applications of this rule, called by name with
+its parameters as keywords: run_recipe("theorem3", d=2, dprime=3, p=3, q=3).
+Each recipe is a tree whose leaves are built-in sets for dimension pairs
+(d, d') and whose nodes tensor or transpose; every subtree is certified
+before it is used and the output once more, so a returned set is always a
+certified witness.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Any, Callable
 
 import numpy as np
@@ -29,21 +31,12 @@ from .matspace import _check_tol, _require_int
 from .verify import BasisFamily, FamilySet, check_museb_set
 
 __all__ = [
-    "RecipeSpec",
     "RECIPE_NAMES",
     "tensor_families",
     "transpose_family",
     "mub_composite",
     "run_recipe",
 ]
-
-
-@dataclass(frozen=True)
-class RecipeSpec:
-    """A named composition recipe plus its integer parameters."""
-
-    name: str
-    parameters: dict[str, int] = field(default_factory=dict)
 
 
 def tensor_families(s: FamilySet, t: FamilySet) -> FamilySet:
@@ -85,7 +78,7 @@ def transpose_family(s: FamilySet) -> FamilySet:
         raise EmptyInput("transpose_family needs at least one family")
     families = []
     for fam in s:
-        elements = fam.elements.transpose(0, 2, 1).copy()
+        elements = fam.elements.transpose(0, 2, 1)  # BasisFamily makes the one copy
         label = f"{fam.label}^T" if fam.label else ""
         families.append(
             BasisFamily(d=fam.dprime, dprime=fam.d, k=fam.k, elements=elements, label=label)
@@ -203,7 +196,7 @@ _RECIPES: dict[str, tuple[tuple[str, ...], dict[str, int], Callable[..., Tree]]]
 RECIPE_NAMES = tuple(_RECIPES)
 
 
-def run_recipe(spec: RecipeSpec, tol: float = 1e-9) -> FamilySet:
+def run_recipe(name: str, /, tol: float = 1e-9, **parameters: int) -> FamilySet:
     """Assemble a named composition and certify it before returning.
 
     Raises ValueError unless the recipe gets each of its parameters, and no
@@ -214,20 +207,20 @@ def run_recipe(spec: RecipeSpec, tol: float = 1e-9) -> FamilySet:
     """
     _check_tol(tol)
     try:
-        names, defaults, recipe = _RECIPES[spec.name]
+        names, defaults, recipe = _RECIPES[name]
     except KeyError:
         raise ValueError(
-            f"unknown recipe {spec.name!r}; known recipes: {', '.join(RECIPE_NAMES)}"
+            f"unknown recipe {name!r}; known recipes: {', '.join(RECIPE_NAMES)}"
         ) from None
-    params = {**defaults, **spec.parameters}
+    params = {**defaults, **parameters}
     extra = [n for n in params if n not in names]
     if extra:
-        raise ValueError(f"recipe {spec.name!r} does not take parameters {extra}")
+        raise ValueError(f"recipe {name!r} does not take parameters {extra}")
     missing = [n for n in names if n not in params]
     if missing:
-        raise ValueError(f"recipe {spec.name!r} is missing parameters {missing}")
+        raise ValueError(f"recipe {name!r} is missing parameters {missing}")
     bad = {n: params[n] for n in names if type(params[n]) is not int or params[n] < 1}
     if bad:
-        raise ValueError(f"recipe {spec.name!r} needs positive integer parameters, got {bad}")
+        raise ValueError(f"recipe {name!r} needs positive integer parameters, got {bad}")
     tree = recipe(*(params[n] for n in names))
-    return _certified(_build(tree, tol), f"recipe {spec.name!r} output", tol)
+    return _certified(_build(tree, tol), f"recipe {name!r} output", tol)

@@ -12,6 +12,7 @@ throughout the tests.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,14 +62,16 @@ class ThetaParams:
     def __post_init__(self) -> None:
         for name in ("theta1", "theta2", "theta3"):
             val = getattr(self, name)
-            if not math.isfinite(val):
-                raise ValueError(f"{name} must be finite, got {val}")
+            real = isinstance(val, numbers.Real) and not isinstance(val, bool)
+            if not (real and math.isfinite(val)):
+                raise ValueError(f"{name} must be a finite real number, got {val!r}")
 
     def residual(self) -> float:
         """Distance of theta2 + theta3 - 2*theta1 from the admissible value, mod 2*pi."""
         return float(_residual(self.theta1, self.theta2, self.theta3))
 
     def is_admissible(self, tol: float = 1e-9) -> bool:
+        _check_tol(tol)
         return self.residual() <= tol
 
 

@@ -133,10 +133,7 @@ def family_set_from_dict(doc: Any) -> FamilySet:
             families.append(BasisFamily(d=d, dprime=dprime, k=k, elements=elements, label=label))
         except Exception as exc:
             raise FileFormatError(f"stored basis is inconsistent: {exc}") from exc
-    try:
-        return FamilySet(tuple(families))
-    except Exception as exc:
-        raise FileFormatError(f"stored set is inconsistent: {exc}") from exc
+    return FamilySet(tuple(families))
 
 
 def _write_family_set(fs: FamilySet, fh: TextIO) -> None:

@@ -78,7 +78,7 @@ class BasisFamily:
             raise ValueError(
                 f"k must sit in [1, {min(self.d, self.dprime)}], got {self.k}"
             )
-        arr = np.array(self.elements, dtype=complex)
+        arr = np.array(self.elements, dtype=complex, order="C")
         want = (self.d * self.dprime, self.d, self.dprime)
         if arr.shape != want:
             raise ShapeMismatch(f"expected elements of shape {want}, got {arr.shape}")
@@ -111,10 +111,6 @@ class FamilySet:
         if len(sigs) > 1:
             raise ShapeMismatch(f"families disagree on (d, d', k): {sorted(sigs)}")
         object.__setattr__(self, "families", fams)
-
-    @property
-    def witness_count(self) -> int:
-        return len(self.families)
 
     @property
     def d(self) -> int:

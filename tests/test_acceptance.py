@@ -11,7 +11,6 @@ from museb import (
     FamilySet,
     NotAdmissible,
     NotPrime,
-    RecipeSpec,
     ThetaParams,
     UnsupportedParameters,
     c23_partner,
@@ -86,7 +85,7 @@ def test_criterion_03_square_and_qubit_catalog_sets_with_their_tensor():
 
     st = tensor_families(s_set, t_set)
     assert (st.d, st.dprime, st.k) == (3, 6, 3)
-    assert st.witness_count == 3
+    assert len(st) == 3
     assert check_museb_set(st, TIGHT).passed
     for a in range(3):
         for b in range(a + 1, 3):
@@ -96,8 +95,8 @@ def test_criterion_03_square_and_qubit_catalog_sets_with_their_tensor():
 
 
 def test_criterion_04_rank3_square_witnesses_in_c6xc6():
-    out = run_recipe(RecipeSpec("example3"))
-    assert out.witness_count == 3
+    out = run_recipe("example3")
+    assert len(out) == 3
     assert (out.d, out.dprime, out.k) == (6, 6, 3)
     third = 1 / np.sqrt(3.0)
     target = np.array([third] * 3 + [0.0] * 3)
@@ -138,14 +137,14 @@ def test_criterion_06_tensor_composition_property_suite():
     for s in pool:
         for t in pool:
             out = tensor_families(s, t)
-            assert out.witness_count == min(s.witness_count, t.witness_count)
+            assert len(out) == min(len(s), len(t))
             assert out.k == s.k * t.k
             assert (out.d, out.dprime) == (s.d * t.d, s.dprime * t.dprime)
             assert check_museb_set(out).passed
-            if out.witness_count < 2:
+            if len(out) < 2:
                 continue
             for _ in range(10):
-                fi, fj = rng.choice(out.witness_count, size=2, replace=False)
+                fi, fj = rng.choice(len(out), size=2, replace=False)
                 a = rng.integers(0, len(s[fi]))
                 b = rng.integers(0, len(t[fi]))
                 c = rng.integers(0, len(s[fj]))
@@ -157,19 +156,19 @@ def test_criterion_06_tensor_composition_property_suite():
 
 
 def test_criterion_07_named_recipe_outputs():
-    m69 = run_recipe(RecipeSpec("m69"))
+    m69 = run_recipe("m69")
     assert (m69.d, m69.dprime, m69.k) == (6, 9, 6)
     mags = brute_overlaps(m69[0], m69[1])
     assert mags.size == 2916
     assert np.max(np.abs(mags - 1 / np.sqrt(54))) <= 1e-9
 
-    seb2 = run_recipe(RecipeSpec("cor21k_seb2", {"k": 2}))
+    seb2 = run_recipe("cor21k_seb2", k=2)
     assert (seb2.d, seb2.dprime, seb2.k) == (3, 4, 2)
     mags = brute_overlaps(seb2[0], seb2[1])
     assert np.max(np.abs(mags - 1 / np.sqrt(12))) <= 1e-10
 
-    frozen = run_recipe(RecipeSpec("cor21k_mumeb", {"d": 1, "q": 1}))
-    assert frozen.witness_count == 2
+    frozen = run_recipe("cor21k_mumeb", d=1, q=1)
+    assert len(frozen) == 2
     assert np.max(np.abs(frozen[0].elements - catalog("R1").elements)) <= 1e-12
     assert np.max(np.abs(frozen[1].elements - catalog("R2").elements)) <= 1e-12
     print("[PASS] criterion 7: m69 at 1/sqrt(54), seb2 at 1/sqrt(12), degenerate case is exact")
@@ -178,17 +177,17 @@ def test_criterion_07_named_recipe_outputs():
 def test_criterion_08_unbiased_basis_families_for_small_dimensions():
     for p in (2, 3, 5, 7):
         fs = mub_prime(p)
-        assert fs.witness_count == p + 1
+        assert len(fs) == p + 1
         assert check_museb_set(fs, TIGHT).passed
     fs6 = mub_composite(6)
-    assert fs6.witness_count == 3
+    assert len(fs6) == 3
     assert check_museb_set(fs6, TIGHT).passed
     print("[PASS] criterion 8: p+1 unbiased bases for p in {2,3,5,7} and 3 for dimension 6")
 
 
 def test_criterion_09_qubit_frames_and_their_lift_to_c6xc6():
     frames = mumeb_qubit()
-    assert frames.witness_count == 3
+    assert len(frames) == 3
     assert check_museb_set(frames, TIGHT).passed
     for a in range(3):
         for b in range(a + 1, 3):
@@ -197,7 +196,7 @@ def test_criterion_09_qubit_frames_and_their_lift_to_c6xc6():
 
     lifted = tensor_families(frames, FamilySet((catalog("S1"), catalog("S2"), catalog("S3"))))
     assert (lifted.d, lifted.dprime, lifted.k) == (6, 6, 6)
-    assert lifted.witness_count == 3
+    assert len(lifted) == 3
     assert check_museb_set(lifted, TIGHT).passed
     sv = np.linalg.svd(lifted[0].elements, compute_uv=False)
     assert np.max(np.abs(sv - 1 / np.sqrt(6))) <= 1e-10
@@ -220,17 +219,17 @@ def test_criterion_10_closure_always_fails_across_ten_thousand_pairs():
 def test_criterion_11_exclusions_are_explicit_and_loud():
     # out-of-scope witness shapes name the missing ingredient instead of guessing
     with pytest.raises(UnsupportedParameters) as exc:
-        run_recipe(RecipeSpec("theorem3", {"d": 5, "dprime": 5, "p": 1, "q": 1}))
+        run_recipe("theorem3", d=5, dprime=5, p=1, q=1)
     assert "does not build" in str(exc.value) or "not built" in str(exc.value)
     with pytest.raises(UnsupportedParameters):
-        run_recipe(RecipeSpec("cor21k_mumeb", {"d": 7, "q": 1}))
+        run_recipe("cor21k_mumeb", d=7, q=1)
     with pytest.raises(UnsupportedParameters):
-        run_recipe(RecipeSpec("theorem3", {"d": 2, "dprime": 5, "p": 1, "q": 1}))
+        run_recipe("theorem3", d=2, dprime=5, p=1, q=1)
     # prime-power unbiased bases beyond the product construction are refused,
     # and the product construction itself reports its weaker count honestly
     with pytest.raises(NotPrime):
         mub_prime(4)
-    assert mub_composite(4).witness_count == 3
+    assert len(mub_composite(4)) == 3
     # the descent search reports a nonzero floor rather than claiming a basis
     out = third_basis_search(SearchConfig(seed=0, max_iterations=60, restarts=2))
     assert not out.converged_to_zero

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from museb import (
     BasisFamily,
     EmptyInput,
     FamilySet,
-    RecipeSpec,
     UnsupportedParameters,
     VerificationFailed,
     catalog,
@@ -39,15 +39,15 @@ def r_set():
 def test_tensor_dimensions_rank_and_count():
     out = tensor_families(s_set(), mub_prime(2))
     assert (out.d, out.dprime, out.k) == (3, 6, 3)
-    assert out.witness_count == 3
+    assert len(out) == 3
     assert len(out[0]) == 18
     assert check_museb_set(out).passed
 
 
 def test_tensor_count_is_min_of_inputs():
-    assert tensor_families(r_set(), s_set()).witness_count == 2
-    assert tensor_families(s_set(), r_set()).witness_count == 2
-    assert tensor_families(s_set(), mub_prime(5)).witness_count == 3
+    assert len(tensor_families(r_set(), s_set())) == 2
+    assert len(tensor_families(s_set(), r_set())) == 2
+    assert len(tensor_families(s_set(), mub_prime(5))) == 3
 
 
 def test_tensor_element_order_left_factor_slowest():
@@ -94,42 +94,57 @@ def test_transpose_family_swaps_dims_and_preserves_verdict():
     assert np.array_equal(back[1].elements, catalog("R2").elements)
 
 
+def test_transpose_family_copies_each_family_once():
+    qubits = tensor_families(mumeb_qubit(), mumeb_qubit())
+    fs = tensor_families(qubits, s_set())  # three families of C^12 (x) C^12
+    tracemalloc.start()
+    try:
+        out = transpose_family(fs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a second copy of any one family would add a third of the result
+    assert peak < 1.2 * sum(fam.elements.nbytes for fam in out)
+    assert all(fam.elements.flags.c_contiguous for fam in out)
+    assert np.array_equal(out[2].elements, fs[2].elements.transpose(0, 2, 1))
+
+
 # ------------------------------------------------------------------ recipes
 
 def test_recipe_m69_two_witnesses():
-    out = run_recipe(RecipeSpec("m69"))
+    out = run_recipe("m69")
     assert (out.d, out.dprime, out.k) == (6, 9, 6)
-    assert out.witness_count == 2
+    assert len(out) == 2
     # spot check the overlap magnitude between the two families
     ov = abs(hs_inner(out[0][7], out[1][31]))
     assert abs(ov - 1 / np.sqrt(54)) < 1e-12
 
 
 def test_recipe_cor21k_seb2():
-    out = run_recipe(RecipeSpec("cor21k_seb2", {"k": 2}))
+    out = run_recipe("cor21k_seb2", k=2)
     assert (out.d, out.dprime, out.k) == (3, 4, 2)
-    assert out.witness_count == 2
+    assert len(out) == 2
     ov = abs(hs_inner(out[0][0], out[1][5]))
     assert abs(ov - 1 / np.sqrt(12)) < 1e-12
 
 
 def test_recipe_cor21k_mumeb_degenerate_is_the_frozen_pair():
-    out = run_recipe(RecipeSpec("cor21k_mumeb", {"d": 1, "q": 1}))
-    assert out.witness_count == 2
+    out = run_recipe("cor21k_mumeb", d=1, q=1)
+    assert len(out) == 2
     assert np.max(np.abs(out[0].elements - catalog("R1").elements)) == 0.0
     assert np.max(np.abs(out[1].elements - catalog("R2").elements)) == 0.0
 
 
 def test_recipe_cor21k_mumeb_scales_up():
-    out = run_recipe(RecipeSpec("cor21k_mumeb", {"d": 2, "q": 1}))
+    out = run_recipe("cor21k_mumeb", d=2, q=1)
     assert (out.d, out.dprime, out.k) == (4, 6, 4)
-    assert out.witness_count == 2
+    assert len(out) == 2
 
 
 def test_recipe_example3_matches_the_literal_construction():
-    out = run_recipe(RecipeSpec("example3"))
+    out = run_recipe("example3")
     assert (out.d, out.dprime, out.k) == (6, 6, 3)
-    assert out.witness_count == 3
+    assert len(out) == 3
     s, t = s_set(), mub_prime(2)
     for fi in range(3):
         assert len(out[fi]) == 36
@@ -142,7 +157,7 @@ def test_recipe_example3_matches_the_literal_construction():
 
 
 def test_recipe_example3_spectra():
-    out = run_recipe(RecipeSpec("example3"))
+    out = run_recipe("example3")
     third = 1 / np.sqrt(3.0)
     for fi in range(3):
         sv = np.linalg.svd(out[fi].elements, compute_uv=False)
@@ -151,9 +166,9 @@ def test_recipe_example3_spectra():
 
 
 def test_recipe_example1_three_witnesses():
-    out = run_recipe(RecipeSpec("example1"))
+    out = run_recipe("example1")
     assert (out.d, out.dprime, out.k) == (4, 24, 4)
-    assert out.witness_count == 3
+    assert len(out) == 3
     assert len(out[0]) == 96
     # maximal rank on the smaller side: every element is maximally entangled
     sv = singular_values(out[2][17])
@@ -161,63 +176,65 @@ def test_recipe_example1_three_witnesses():
 
 
 def test_recipe_theorem3_generic():
-    out = run_recipe(RecipeSpec("theorem3", {"d": 2, "dprime": 2, "p": 3, "q": 3}))
+    out = run_recipe("theorem3", d=2, dprime=2, p=3, q=3)
     assert (out.d, out.dprime, out.k) == (6, 6, 6)
-    assert out.witness_count == 3
+    assert len(out) == 3
     assert check_museb_set(out).passed
 
 
 def test_recipe_corollary1_both_orientations():
-    right = run_recipe(RecipeSpec("corollary1_right", {"d": 2, "dprime": 3, "q": 4}))
+    right = run_recipe("corollary1_right", d=2, dprime=3, q=4)
     assert (right.d, right.dprime, right.k) == (2, 12, 2)
-    assert right.witness_count == 2
-    left = run_recipe(RecipeSpec("corollary1_left", {"d": 2, "dprime": 3, "p": 3}))
+    assert len(right) == 2
+    left = run_recipe("corollary1_left", d=2, dprime=3, p=3)
     assert (left.d, left.dprime, left.k) == (6, 3, 2)
-    assert left.witness_count == 2
+    assert len(left) == 2
 
 
 def test_recipe_unknown_name():
     with pytest.raises(ValueError):
-        run_recipe(RecipeSpec("theorem9"))
+        run_recipe("theorem9")
 
 
 def test_recipe_missing_parameters():
     with pytest.raises(ValueError):
-        run_recipe(RecipeSpec("theorem3", {"d": 2}))
+        run_recipe("theorem3", d=2)
     with pytest.raises(ValueError):
-        run_recipe(RecipeSpec("theorem3", {"d": 2, "dprime": 3, "p": 0, "q": 2}))
+        run_recipe("theorem3", d=2, dprime=3, p=0, q=2)
 
 
 @pytest.mark.parametrize("spec, refused", [
-    (RecipeSpec("m69", {"d": 7, "k": 5}), ["d", "k"]),
-    (RecipeSpec("cor21k_seb2", {"q": 3}), ["q"]),
-    (RecipeSpec("theorem3", {"d": 2, "dprime": 3, "p": 3, "q": 3, "k": 1}), ["k"]),
+    (("m69", {"d": 7, "k": 5}), ["d", "k"]),
+    (("cor21k_seb2", {"q": 3}), ["q"]),
+    (("theorem3", {"d": 2, "dprime": 3, "p": 3, "q": 3, "k": 1}), ["k"]),
 ])
 def test_recipe_names_parameters_it_does_not_take(spec, refused):
+    name, params = spec
     with pytest.raises(ValueError, match=re.escape(f"does not take parameters {refused}")):
-        run_recipe(spec)
+        run_recipe(name, **params)
 
 
 @pytest.mark.parametrize("spec", [
-    RecipeSpec("cor21k_seb2", {"k": 2.7}),
-    RecipeSpec("cor21k_seb2", {"k": True}),
-    RecipeSpec("cor21k_seb2", {"k": "2"}),
-    RecipeSpec("theorem3", {"d": 2, "dprime": 3, "p": 2.0, "q": 3}),
+    ("cor21k_seb2", {"k": 2.7}),
+    ("cor21k_seb2", {"k": True}),
+    ("cor21k_seb2", {"k": "2"}),
+    ("theorem3", {"d": 2, "dprime": 3, "p": 2.0, "q": 3}),
 ], ids=["k_fractional", "k_bool", "k_string", "p_float"])
 def test_recipe_parameters_must_be_ints(spec):
     # the museb-1 header's rule: never coerced, so 2.7 and True cannot build k = 2 or 1
+    name, params = spec
     with pytest.raises(ValueError, match="positive integer parameters"):
-        run_recipe(spec)
+        run_recipe(name, **params)
 
 
 def test_recipe_out_of_scope_parameters_are_refused_loudly():
     with pytest.raises(UnsupportedParameters) as exc:
-        run_recipe(RecipeSpec("theorem3", {"d": 5, "dprime": 5, "p": 1, "q": 2}))
+        run_recipe("theorem3", d=5, dprime=5, p=1, q=2)
     assert "C^5" in str(exc.value)
     with pytest.raises(UnsupportedParameters):
-        run_recipe(RecipeSpec("cor21k_mumeb", {"d": 5, "q": 1}))
+        run_recipe("cor21k_mumeb", d=5, q=1)
     with pytest.raises(UnsupportedParameters):
-        run_recipe(RecipeSpec("theorem3", {"d": 2, "dprime": 5, "p": 1, "q": 1}))
+        run_recipe("theorem3", d=2, dprime=5, p=1, q=1)
 
 
 def test_recipe_certifies_every_ingredient(monkeypatch):
@@ -234,7 +251,7 @@ def test_recipe_certifies_every_ingredient(monkeypatch):
 
     monkeypatch.setattr(compose, "_known_set", tampered)
     with pytest.raises(VerificationFailed, match=r"^ingredient \(1, 2\) failed"):
-        run_recipe(RecipeSpec("example1"))
+        run_recipe("example1")
 
 
 def test_composed_outputs_certify_end_to_end():
@@ -247,7 +264,7 @@ def test_composed_outputs_certify_end_to_end():
     for left in pool.values():
         for right in pool.values():
             out = tensor_families(left, right)
-            assert out.witness_count == min(left.witness_count, right.witness_count)
+            assert len(out) == min(len(left), len(right))
             assert out.k == left.k * right.k
             rep = check_museb_set(out)
             assert rep.passed, rep.worst_violation

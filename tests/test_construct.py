@@ -200,13 +200,21 @@ def test_mixing_matrix_unitary_exactly_when_admissible():
 def test_theta_params_reject_non_finite():
     with pytest.raises(ValueError):
         ThetaParams(0.0, np.inf, 0.0)
+    # a bool once built as a phase and a string escaped as a bare TypeError
+    for bad in (True, "0", None, 1j):
+        for i, name in enumerate(("theta1", "theta2", "theta3")):
+            phases = [0.0, 0.0, 0.0]
+            phases[i] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
+                ThetaParams(*phases)
+    assert ThetaParams(np.float32(0.5), np.int64(1), 2).theta3 == 2
 
 
 # -------------------------------------------------------------------- mubs
 
 def test_mub_prime_two_is_the_frozen_t_trio():
     fs = mub_prime(2)
-    assert fs.witness_count == 3
+    assert len(fs) == 3
     for fam, name in zip(fs, ("T1", "T2", "T3")):
         assert np.max(np.abs(fam.elements - catalog(name).elements)) < 1e-12
 
@@ -214,7 +222,7 @@ def test_mub_prime_two_is_the_frozen_t_trio():
 def test_mub_prime_counts_and_certification():
     for p in (2, 3, 5, 7):
         fs = mub_prime(p)
-        assert fs.witness_count == p + 1
+        assert len(fs) == p + 1
         assert (fs.d, fs.dprime, fs.k) == (1, p, 1)
         assert check_museb_set(fs).passed
 
@@ -237,14 +245,14 @@ def test_mub_prime_rejects_composites():
 def test_mub_composite_counts():
     for q, expected in ((4, 3), (6, 3), (9, 4), (12, 3), (15, 4)):
         fs = mub_composite(q)
-        assert fs.witness_count == expected, q
+        assert len(fs) == expected, q
         assert fs.dprime == q
         assert check_museb_set(fs).passed, q
 
 
 def test_mub_composite_prime_input_delegates():
     fs = mub_composite(5)
-    assert fs.witness_count == 6
+    assert len(fs) == 6
     assert check_museb_set(fs).passed
 
 
@@ -277,7 +285,7 @@ def test_numpy_integers_are_integers():
 
 def test_mumeb_qubit_is_three_maximally_entangled_bases():
     fs = mumeb_qubit()
-    assert fs.witness_count == 3
+    assert len(fs) == 3
     assert (fs.d, fs.dprime, fs.k) == (2, 2, 2)
     assert check_museb_set(fs).passed
     for fam in fs:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import museb
 from museb import compose, construct, errors, familyfile, matspace, search, trio, verify
 
@@ -16,6 +18,10 @@ def test_package_exports_exactly_the_submodule_lists():
 
 def test_test_only_shims_are_gone():
     for name in ("StateVector", "state_to_matrix", "matrix_to_state", "kron",
-                 "IntFactorization", "has_real_2x3"):
+                 "IntFactorization", "has_real_2x3", "RecipeSpec"):
         assert name not in museb.__all__
         assert not hasattr(museb, name)
+    assert not hasattr(compose, "RecipeSpec")
+    # len(fs) counts the families; the descent's step scale is a module constant
+    assert not hasattr(museb.FamilySet, "witness_count")
+    assert "step_scale" not in {f.name for f in dataclasses.fields(museb.SearchConfig)}

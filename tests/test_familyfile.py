@@ -11,7 +11,6 @@ from museb import (
     BasisFamily,
     FamilySet,
     FileFormatError,
-    RecipeSpec,
     catalog,
     family_set_from_dict,
     family_set_to_dict,
@@ -37,7 +36,7 @@ def test_round_trip_is_exact(tmp_path, fs_builder):
     path = tmp_path / "set.json"
     save_family_set(fs, path)
     back = load_family_set(path)
-    assert back.witness_count == fs.witness_count
+    assert len(back) == len(fs)
     assert (back.d, back.dprime, back.k) == (fs.d, fs.dprime, fs.k)
     for orig, loaded in zip(fs, back):
         assert loaded.label == orig.label
@@ -165,38 +164,38 @@ def test_matrix_rejects_malformed(tmp_path):
 # change must keep the bytes, -0.0 and float reprs included
 @pytest.mark.parametrize("fs_builder, digest", [
     (lambda: mub_prime(5), "9e2bad8b37071e200bc77337beb0876906214aadfb977b47ae7a50f19ec4cee0"),
-    (lambda: run_recipe(RecipeSpec("example3")),
+    (lambda: run_recipe("example3"),
      "ae19ec94e65063739ec9994d6bf82d53ce31af5aa5419b412ba0c9ca04c129fc"),
-    (lambda: run_recipe(RecipeSpec("theorem3", {"d": 2, "dprime": 3, "p": 3, "q": 3})),
+    (lambda: run_recipe("theorem3", d=2, dprime=3, p=3, q=3),
      "6302315a7afc699350701bc3d0e01e71d481709af893518659a290310716f18d"),
-    (lambda: run_recipe(RecipeSpec("corollary1_right", {"d": 2, "dprime": 3, "q": 4})),
+    (lambda: run_recipe("corollary1_right", d=2, dprime=3, q=4),
      "ba771edce21aa321c56ce7963d56b7acadbc487707cf6492889cb6ff618211e4"),
-    (lambda: run_recipe(RecipeSpec("corollary1_left", {"d": 2, "dprime": 3, "p": 3})),
+    (lambda: run_recipe("corollary1_left", d=2, dprime=3, p=3),
      "84c59c23cb5a57f5a39b1cc0f5e91f0414cd0435f8292ef8429e54e9957588c5"),
     # p = 1 transposes the trivial set, so its labels read triv^T
-    (lambda: run_recipe(RecipeSpec("corollary1_left", {"d": 2, "dprime": 3, "p": 1})),
+    (lambda: run_recipe("corollary1_left", d=2, dprime=3, p=1),
      "f9858b38f6d39f293a9819c3a69a1ba3f364d883d73d214d1eb2c36d84e8df55"),
-    (lambda: run_recipe(RecipeSpec("example1")),
+    (lambda: run_recipe("example1"),
      "6b94e273e9edeceb01a2ae3cbdb0f4bc6fc6d0ff64fdafe7a124d069df2cd317"),
-    (lambda: run_recipe(RecipeSpec("cor21k_mumeb", {"d": 2, "q": 2})),
+    (lambda: run_recipe("cor21k_mumeb", d=2, q=2),
      "065a4b4751f7fc6fcaff0bdf7cd58238ff1b3539cd0555115d150c1e3d0ca2e4"),
-    (lambda: run_recipe(RecipeSpec("cor21k_seb2", {"k": 3})),
+    (lambda: run_recipe("cor21k_seb2", k=3),
      "aab9d67930899589a9a917e4fe1032af4de2b7a6c04e3262e51e65c028d4ddad"),
     # m69 is theorem3 on (2, 3) and (3, 3), byte for byte
-    (lambda: run_recipe(RecipeSpec("m69")),
+    (lambda: run_recipe("m69"),
      "6302315a7afc699350701bc3d0e01e71d481709af893518659a290310716f18d"),
     # mirrored, single-sided and composite leaves: (3, 2), (q, 1), (1, 12), (4, 4) and (6, 6)
-    (lambda: run_recipe(RecipeSpec("theorem3", {"d": 3, "dprime": 2, "p": 2, "q": 3})),
+    (lambda: run_recipe("theorem3", d=3, dprime=2, p=2, q=3),
      "f1022f9321094e8428d90fd0e00ffc642f9d9ab95df48be2803f3f38cd78e532"),
-    (lambda: run_recipe(RecipeSpec("theorem3", {"d": 4, "dprime": 1, "p": 1, "q": 1})),
+    (lambda: run_recipe("theorem3", d=4, dprime=1, p=1, q=1),
      "73110115fbbc59ecd151e18ae68637dddcce3403b35c8942d68283ec087b6c53"),
-    (lambda: run_recipe(RecipeSpec("theorem3", {"d": 6, "dprime": 1, "p": 1, "q": 1})),
+    (lambda: run_recipe("theorem3", d=6, dprime=1, p=1, q=1),
      "7d06352e040f53bf2476ebbcdbb533ca5c2491e743e90795d191ebe5e5fdc250"),
-    (lambda: run_recipe(RecipeSpec("theorem3", {"d": 6, "dprime": 6, "p": 1, "q": 1})),
+    (lambda: run_recipe("theorem3", d=6, dprime=6, p=1, q=1),
      "289722072bdb17ab5eb925f7253447efc3fbac2c3a47f8b4cd63bcb3318327e9"),
-    (lambda: run_recipe(RecipeSpec("corollary1_right", {"d": 2, "dprime": 3, "q": 12})),
+    (lambda: run_recipe("corollary1_right", d=2, dprime=3, q=12),
      "c8c18b5babf0f42305288e152ad88b2a7b8e76b2a3ccfcc141aa245b17da0829"),
-    (lambda: run_recipe(RecipeSpec("cor21k_mumeb", {"d": 4, "q": 1})),
+    (lambda: run_recipe("cor21k_mumeb", d=4, q=1),
      "59f7f0cd66fe34591abbd068305dd368442c123f47739b4a7490b80e5b61bac7"),
     # 303,372 doubles drawn from 103 distinct number texts
     (lambda: mub_prime(53), "3c3808b0a15e1d26ebe515d8970f05245856cc7f3ce07359c6a0e61b37bd278e"),

@@ -109,25 +109,11 @@ def test_search_config_validation():
         SearchConfig(max_iterations=-1)
     with pytest.raises(ValueError):
         SearchConfig(restarts=0)
-    with pytest.raises(ValueError):
-        SearchConfig(step_scale=0.0)
     # counts are integers, never bools or floats, and the seed is nonnegative
     for field, value in [("max_iterations", 2.5), ("max_iterations", True), ("restarts", 1.5),
                          ("restarts", True), ("seed", -1), ("seed", 0.5), ("seed", False)]:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             SearchConfig(**{field: value})
-
-
-@pytest.mark.parametrize("step", [True, False, "0.25", None, 1j, float("nan"), 2.5])
-def test_step_scale_must_be_a_number_in_range(step):
-    # a bool once ran the walk at step 1.0 and a string escaped as a bare TypeError
-    with pytest.raises(ValueError, match="^step_scale must be a number in"):
-        SearchConfig(step_scale=step)
-
-
-def test_step_scale_takes_any_real_number_in_range():
-    for step in (2, 0.25, np.float32(0.5), np.int64(1)):
-        assert SearchConfig(step_scale=step).step_scale == step
 
 
 def test_sweep_validates_pairs():

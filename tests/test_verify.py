@@ -15,7 +15,6 @@ from museb import (
     FamilySet,
     MusebError,
     NumericalFailure,
-    RecipeSpec,
     ShapeMismatch,
     ThetaParams,
     catalog,
@@ -65,11 +64,11 @@ TOL_TAKERS = {
     "is_chm": lambda tol: is_chm(np.ones((1, 1)), tol),
     "dephased_obstruction": lambda tol: dephased_obstruction(np.ones((1, 1)), tol),
     "theorem2_reproduce": lambda tol: theorem2_reproduce(tol),
-    "run_recipe": lambda tol: run_recipe(
-        RecipeSpec("theorem3", {"d": 1, "dprime": 1, "p": 1, "q": 1}), tol),
+    "run_recipe": lambda tol: run_recipe("theorem3", tol, d=1, dprime=1, p=1, q=1),
     "c23_partner": lambda tol: c23_partner(_ADMISSIBLE, tol),
     "closure_failure_probe": lambda tol: closure_failure_probe(_ADMISSIBLE, _ADMISSIBLE, tol),
     "closure_sweep": lambda tol: closure_sweep(5, tol=tol),
+    "ThetaParams.is_admissible": lambda tol: _ADMISSIBLE.is_admissible(tol),
 }
 
 
@@ -365,7 +364,7 @@ def scaled(fs, fi, ei, factor):
 
 REGRESSION_SETS = {
     **{name: (lambda name=name: catalog_sets()[name]) for name in catalog_sets()},
-    **{f"{n}{sorted(p.items())}": (lambda n=n, p=p: run_recipe(RecipeSpec(n, p)))
+    **{f"{n}{sorted(p.items())}": (lambda n=n, p=p: run_recipe(n, **p))
        for n, p in RECIPE_CASES},
     "mub_prime(53)": lambda: mub_prime(53),
 }
