@@ -15,6 +15,13 @@ Each recipe is a tree whose leaves are built-in sets for dimension pairs
 (d, d') and whose nodes tensor or transpose; every subtree is certified
 before it is used and the output once more, so a returned set is always a
 certified witness.
+
+Each built-in set for a shape (d, d') comes from the table _LEAVES of
+irreducible shapes, (1, 1), (2, 2), (3, 3) and (2, 3), and four rules in
+order: d > d' is the transpose of (d', d); a table shape is its row;
+(1, q) is mub_composite(q); a composite square is the left fold of its
+prime squares.  Any other shape raises UnsupportedParameters naming the
+missing one, such as C^5 (x) C^5 for (10, 10).
 """
 
 from __future__ import annotations
@@ -107,44 +114,29 @@ def mub_composite(q: int) -> FamilySet:
     return FamilySet(tuple(replace(fam, label=f"mub{q}.t{t}") for t, fam in enumerate(fs)))
 
 
-def _trivial_set(count: int) -> FamilySet:
+# irreducible shape -> builder of its set; _known_set derives every other shape
+_LEAVES: dict[tuple[int, int], Callable[[], FamilySet]] = {
     # bases of C^1 (x) C^1; every pair is vacuously unbiased at 1/sqrt(1)
-    one = np.ones((1, 1, 1), dtype=complex)
-    fams = tuple(
-        BasisFamily(d=1, dprime=1, k=1, elements=one, label="triv") for _ in range(count)
-    )
-    return FamilySet(fams)
-
-
-def _mumeb_square(d: int) -> FamilySet:
-    """Three or more mutually unbiased maximally entangled bases of C^d (x) C^d, d > 1."""
-    if d == 2:
-        return mumeb_qubit()
-    if d == 3:
-        return FamilySet((catalog("S1"), catalog("S2"), catalog("S3")))
-    fact = factorize(d)
-    unsupported = [p for p, _ in fact if p not in (2, 3)]
-    if unsupported:
-        raise UnsupportedParameters(
-            f"no built-in maximally entangled basis set for C^{d} (x) C^{d}: "
-            f"prime factor(s) {unsupported} would need the externally cited "
-            "odd-prime-power construction, which this package does not build"
-        )
-    return _fold(fact, _mumeb_square)
+    (1, 1): lambda: FamilySet(tuple(
+        BasisFamily(d=1, dprime=1, k=1, elements=np.ones((1, 1, 1), dtype=complex), label="triv")
+        for _ in range(3)
+    )),
+    (2, 2): mumeb_qubit,
+    (3, 3): lambda: FamilySet((catalog("S1"), catalog("S2"), catalog("S3"))),
+    (2, 3): lambda: FamilySet((catalog("R1"), catalog("R2"))),
+}
 
 
 def _known_set(d: int, dprime: int) -> FamilySet:
-    """A built-in verified family set for the dimension pair, or a clear refusal."""
+    """A built-in verified family set for (d, d'), or a refusal naming the missing shape."""
     if d > dprime:
         return transpose_family(_known_set(dprime, d))
-    if (d, dprime) == (1, 1):
-        return _trivial_set(3)
+    if (d, dprime) in _LEAVES:
+        return _LEAVES[d, dprime]()
     if d == 1:
         return mub_composite(dprime)
-    if (d, dprime) == (2, 3):
-        return FamilySet((catalog("R1"), catalog("R2")))
-    if d == dprime:
-        return _mumeb_square(d)
+    if d == dprime and (fact := factorize(d)) != ((d, 1),):
+        return _fold(fact, lambda p: _known_set(p, p))
     raise UnsupportedParameters(
         f"no built-in family set for C^{d} (x) C^{dprime}: witnesses for this "
         "shape would need externally cited constructions not built here"

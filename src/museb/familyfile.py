@@ -114,9 +114,6 @@ def family_set_from_dict(doc: Any) -> FamilySet:
         d, dprime, k, bases = (doc[key] for key in ("d", "dprime", "k", "bases"))
     except KeyError as exc:
         raise FileFormatError(f"missing field: {exc}") from exc
-    for key, val in (("d", d), ("dprime", dprime), ("k", k)):
-        if type(val) is not int:  # a JSON integer; bool, float and str are refused
-            raise FileFormatError(f"{key} must be an integer, got {val!r}")
     if not isinstance(bases, list) or not bases:
         raise FileFormatError("bases must be a nonempty list")
     labels = doc.get("labels", [""] * len(bases))

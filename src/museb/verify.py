@@ -82,7 +82,7 @@ class BasisFamily:
         want = (self.d * self.dprime, self.d, self.dprime)
         if arr.shape != want:
             raise ShapeMismatch(f"expected elements of shape {want}, got {arr.shape}")
-        if not np.all(np.isfinite(arr.real) & np.isfinite(arr.imag)):
+        if not np.isfinite(arr).all():
             raise ValueError("elements must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "elements", arr)

@@ -230,6 +230,12 @@ def test_compose_out_of_scope_is_exit_2(capsys):
     assert "C^5" in err
 
 
+def test_compose_refusal_names_the_missing_prime_square(capsys):
+    code, out, err = run(capsys, "compose", "cor21k_mumeb", "--d", "10")
+    assert (code, out) == (2, "")
+    assert "C^5 (x) C^5" in err
+
+
 def test_trio_builtin_finds_obstruction(capsys):
     code, out, _ = run(capsys, "trio", "--builtin")
     assert code == 0

@@ -1,3 +1,4 @@
+import functools
 import re
 import tracemalloc
 
@@ -235,6 +236,34 @@ def test_recipe_out_of_scope_parameters_are_refused_loudly():
         run_recipe("cor21k_mumeb", d=5, q=1)
     with pytest.raises(UnsupportedParameters):
         run_recipe("theorem3", d=2, dprime=5, p=1, q=1)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("cor21k_mumeb", {"d": 10, "q": 1}),
+    ("theorem3", {"d": 15, "dprime": 15, "p": 1, "q": 1}),
+])
+def test_refusal_names_the_missing_prime_square(name, params):
+    with pytest.raises(UnsupportedParameters, match=re.escape("C^5 (x) C^5")):
+        run_recipe(name, **params)
+
+
+@pytest.mark.parametrize("shape", sorted(compose._LEAVES))
+def test_every_leaf_certifies_at_its_shape(shape):
+    fs = compose._LEAVES[shape]()
+    assert (fs.d, fs.dprime) == shape
+    assert check_museb_set(fs).passed
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 9, 12])
+def test_square_sets_are_left_folds_of_the_prime_square_leaves(d):
+    fs = compose._known_set(d, d)
+    assert (len(fs), fs.d, fs.dprime, fs.k) == (3, d, d, d)
+    assert check_museb_set(fs).passed
+    leaves = [compose._LEAVES[p, p]() for p, a in factorize(d) for _ in range(a)]
+    fold = functools.reduce(tensor_families, leaves)
+    assert [fam.label for fam in fs] == [fam.label for fam in fold]
+    for got, want in zip(fs, fold):
+        assert got.elements.tobytes() == want.elements.tobytes()
 
 
 def test_recipe_certifies_every_ingredient(monkeypatch):
