@@ -6,9 +6,14 @@ save/load cycle reproduces arrays bit for bit.
 
 Built-in witnesses draw their entries from a few scaled roots of unity,
 so the writer reprs each distinct entry bit pattern once (_dumps_stack);
-its text is exactly json.dumps of the entry lists.  The reader is plain
-json.load: memoising float parsing by number text doubled the load time
-and peak memory of files whose values do not repeat.
+its text is exactly json.dumps of the entry lists.  load_family_set reads
+the file text once and walks its punctuation down to the element matrices;
+json's own scanner decodes every key, header value and single element, so
+the grammar is json's.  Each element becomes a float array as soon as it
+is scanned, so the load holds the file text plus the arrays, never the
+whole tree of Python floats that json.load would build.  Memoising float
+parsing by number text doubled the load time and peak memory of files
+whose values do not repeat.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import itertools
 import json
 import math
 import os
-from typing import Any, TextIO
+from typing import Any, Callable, TextIO
 
 import numpy as np
 
@@ -106,9 +111,23 @@ def _check_version(doc: dict[str, Any]) -> None:
         raise FileFormatError(f"unsupported format_version {version!r}; expected {FORMAT_VERSION!r}")
 
 
+_NOT_A_BASIS = "each basis must be a nonempty list of matrices of one shape"
+
+
+def _basis_from_list(basis: Any) -> np.ndarray:
+    if not isinstance(basis, list) or not basis:
+        raise FileFormatError(_NOT_A_BASIS)
+    return matrix_from_list(basis)
+
+
 def family_set_from_dict(doc: Any) -> FamilySet:
     if not isinstance(doc, dict):
         raise FileFormatError(f"expected a JSON object, got {type(doc).__name__}")
+    return _family_set(doc, _basis_from_list)
+
+
+def _family_set(doc: dict[str, Any], elements_of: Callable[[Any], np.ndarray]) -> FamilySet:
+    """The set a document's fields describe; elements_of turns one entry of bases into its stack."""
     _check_version(doc)
     try:
         d, dprime, k, bases = (doc[key] for key in ("d", "dprime", "k", "bases"))
@@ -123,9 +142,7 @@ def family_set_from_dict(doc: Any) -> FamilySet:
         raise FileFormatError("labels, when present, must align with bases")
     families = []
     for label, basis in zip(labels, bases):
-        if not isinstance(basis, list) or not basis:
-            raise FileFormatError("each basis must be a nonempty list of matrices")
-        elements = matrix_from_list(basis)
+        elements = elements_of(basis)
         try:
             families.append(BasisFamily(d=d, dprime=dprime, k=k, elements=elements, label=label))
         except Exception as exc:
@@ -161,8 +178,97 @@ def _read_json(path: str | os.PathLike) -> Any:
             raise FileFormatError(f"not valid JSON: {exc}") from exc
 
 
+# json's own C scanner decodes each value; the walk below skips only punctuation
+_value = json.JSONDecoder().raw_decode  # (value starting at text[i], index past it)
+_skip_ws = json.decoder.WHITESPACE.match
+
+
+def _walk(text: str, i: int, close: str, item: Callable[[str, int], tuple[Any, int]]
+          ) -> tuple[list[Any], int]:
+    """The comma-separated items after the bracket at text[i], up to close.
+
+    item(text, start) reads one item and returns it with the index just past it.
+    """
+    items = []
+    i = _skip_ws(text, i + 1).end()
+    if text[i:i + 1] == close:
+        return items, i + 1
+    while True:
+        value, i = item(text, i)
+        items.append(value)
+        i = _skip_ws(text, i).end()
+        if text[i:i + 1] == close:
+            return items, i + 1
+        if text[i:i + 1] != ",":
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
+        i = _skip_ws(text, i + 1).end()
+
+
+def _element(text: str, i: int) -> tuple[np.ndarray, int]:
+    value, end = _value(text, i)
+    mat = matrix_from_list(value)
+    if mat.ndim != 2:
+        raise FileFormatError(f"each basis element must be one matrix, got shape {mat.shape}")
+    return mat, end
+
+
+# A walked basis is its element stack or the FileFormatError it earned.  The
+# refusal is raised only once the whole text has scanned, in the order
+# family_set_from_dict would meet it, so a syntax error anywhere comes first
+# and a later duplicate "bases" key still wins.
+def _basis(text: str, i: int) -> tuple[np.ndarray | FileFormatError, int]:
+    if text[i:i + 1] != "[":
+        return FileFormatError(_NOT_A_BASIS), _value(text, i)[1]
+    try:
+        elements, end = _walk(text, i, "]", _element)
+    except FileFormatError as exc:
+        return exc, _value(text, i)[1]  # the refused basis is scanned whole to find its end
+    try:
+        return np.stack(elements), end
+    except ValueError:  # no elements, or elements of two shapes
+        return FileFormatError(_NOT_A_BASIS), end
+
+
+def _field(text: str, i: int) -> tuple[tuple[str, Any], int]:
+    if text[i:i + 1] != '"':
+        raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, i)
+    key, i = json.decoder.scanstring(text, i + 1)
+    i = _skip_ws(text, i).end()
+    if text[i:i + 1] != ":":
+        raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
+    i = _skip_ws(text, i + 1).end()
+    if key == "bases" and text[i:i + 1] == "[":
+        value, i = _walk(text, i, "]", _basis)
+    else:
+        value, i = _value(text, i)
+    return (key, value), i
+
+
+def _walk_document(text: str) -> dict[str, Any]:
+    """The fields of a museb-1 document; an array under bases holds one walked basis per entry."""
+    i = _skip_ws(text, 0).end()
+    if text[i:i + 1] != "{":
+        raise FileFormatError("expected a JSON object")
+    fields, i = _walk(text, i, "}", _field)
+    i = _skip_ws(text, i).end()
+    if i != len(text):
+        raise json.JSONDecodeError("Extra data", text, i)
+    return dict(fields)  # the last value of a duplicate key wins, as in json.load
+
+
+def _walked_basis(basis: np.ndarray | FileFormatError) -> np.ndarray:
+    if isinstance(basis, FileFormatError):
+        raise basis
+    return basis
+
+
 def load_family_set(path: str | os.PathLike) -> FamilySet:
-    return family_set_from_dict(_read_json(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            fields = _walk_document(fh.read())  # the text is freed before the families are built
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise FileFormatError(f"not valid JSON: {exc}") from exc
+    return _family_set(fields, _walked_basis)
 
 
 def dumps_matrix(mat: np.ndarray) -> str:
