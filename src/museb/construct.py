@@ -16,7 +16,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     DimensionOrder,
@@ -240,6 +239,7 @@ def mumeb_qubit() -> FamilySet:
     y = np.array([[0, -1j], [1j, 0]], dtype=complex)
     z = np.array([[1, 0], [0, -1]], dtype=complex)
     eye = np.eye(2, dtype=complex)
+    from scipy.linalg import expm  # local, so that import museb does not load scipy.linalg
     d_op = expm(1j * (np.pi / 3) * (x + y + z) / _S3)
     families = []
     for t in range(3):

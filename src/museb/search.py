@@ -19,7 +19,6 @@ import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy.linalg import expm, polar
 
 from .construct import ThetaParams, _c23_elements, _mixers, _residual, _theta3, catalog
 from .errors import NotAdmissible
@@ -200,12 +199,6 @@ def _haar_unitary(rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _random_step(rng: np.random.Generator, scale: float) -> np.ndarray:
-    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    skew = (g - g.conj().T) / 2.0
-    return expm(scale * skew)
-
-
 def third_basis_search(cfg: SearchConfig | None = None) -> SearchOutcome:
     """Greedy seeded descent over 2x2 unitaries minimizing unbiasedness_penalty.
 
@@ -215,6 +208,7 @@ def third_basis_search(cfg: SearchConfig | None = None) -> SearchOutcome:
     outcomes bit for bit.  The returned best cost is recomputed from the
     returned candidate.
     """
+    from scipy.linalg import expm, polar  # local, so that import museb does not load scipy.linalg
     cfg = cfg or SearchConfig()
     targets = _default_targets()
     best: np.ndarray | None = None
@@ -226,7 +220,9 @@ def third_basis_search(cfg: SearchConfig | None = None) -> SearchOutcome:
         accepted = 0
         for it in range(cfg.max_iterations):
             step = _STEP_SCALE * (0.99 ** it)
-            cand = w @ _random_step(rng, step)
+            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            skew = (g - g.conj().T) / 2.0
+            cand = w @ expm(step * skew)  # a random unitary step
             cand_cost = unbiasedness_penalty(cand, targets)
             if cand_cost < cost:
                 w, cost = cand, cand_cost
