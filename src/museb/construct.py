@@ -46,6 +46,15 @@ _S3 = np.sqrt(3.0)
 _S6 = np.sqrt(6.0)
 _W3 = np.exp(2j * np.pi / 3)
 
+# mumeb_qubit's D = expm(i pi/3 * (X + Y + Z)/sqrt(3)) as the doubles
+# scipy.linalg.expm returns for it (see mumeb_qubit)
+_QUBIT_FRAME = np.array([
+    [complex(float.fromhex("0x1.ffffffffffffcp-2"), float.fromhex("0x1.0000000000000p-1")),
+     complex(float.fromhex("0x1.0000000000001p-1"), float.fromhex("0x1.0000000000000p-1"))],
+    [complex(float.fromhex("-0x1.0000000000001p-1"), float.fromhex("0x1.0000000000001p-1")),
+     complex(float.fromhex("0x1.ffffffffffffcp-2"), float.fromhex("-0x1.0000000000001p-1"))],
+])
+
 # the admissibility constraint fixes theta2 + theta3 - 2*theta1 modulo 2*pi
 _ADMISSIBLE_RESIDUE = 1.5 * np.pi
 
@@ -234,16 +243,18 @@ def mumeb_qubit() -> FamilySet:
     identity and the three Pauli matrices, where D = exp(i pi/3 * n.sigma)
     for the balanced axis n = (1,1,1)/sqrt(3).  D cycles the Pauli frame,
     and any two of the three bases meet at overlap magnitude 1/2.
+
+    D is exactly (I + i(X + Y + Z))/2; _QUBIT_FRAME stores it as the
+    doubles scipy.linalg.expm returns, which keeps every saved frame's
+    bytes without importing scipy.linalg for one fixed 2x2 matrix.
     """
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     y = np.array([[0, -1j], [1j, 0]], dtype=complex)
     z = np.array([[1, 0], [0, -1]], dtype=complex)
     eye = np.eye(2, dtype=complex)
-    from scipy.linalg import expm  # local, so that import museb does not load scipy.linalg
-    d_op = expm(1j * (np.pi / 3) * (x + y + z) / _S3)
     families = []
     for t in range(3):
-        frame = np.linalg.matrix_power(d_op, t)
+        frame = np.linalg.matrix_power(_QUBIT_FRAME, t)
         mats = np.array([frame @ pauli for pauli in (eye, x, y, z)]) / _S2
         families.append(BasisFamily(d=2, dprime=2, k=2, elements=mats, label=f"frame{t}"))
     return FamilySet(tuple(families))

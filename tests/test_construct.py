@@ -27,6 +27,7 @@ from museb import (
     theta_mixing_matrix,
     weyl_meb,
 )
+from museb.construct import _QUBIT_FRAME
 
 SQ2 = np.sqrt(2.0)
 PI = np.pi
@@ -301,6 +302,26 @@ def test_mumeb_qubit_cross_overlaps_are_half():
                 for j in range(4):
                     ov = abs(np.trace(fs[a][i].conj().T @ fs[b][j]))
                     assert abs(ov - 0.5) < 1e-12
+
+
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def test_qubit_frame_table_is_the_expm_it_replaced():
+    from scipy.linalg import expm
+    want = expm(1j * (np.pi / 3) * (_X + _Y + _Z) / np.sqrt(3))
+    assert _QUBIT_FRAME.dtype == want.dtype
+    assert _QUBIT_FRAME.tobytes() == want.tobytes()
+    assert np.array_equal(mumeb_qubit()[1].elements[0], _QUBIT_FRAME / SQ2)
+
+
+def test_qubit_frame_table_is_within_ulps_of_the_exact_form():
+    exact = (np.eye(2) + 1j * (_X + _Y + _Z)) / 2
+    off = _QUBIT_FRAME - exact
+    ulp = np.spacing(0.5)
+    assert np.all(np.abs(off.real) <= 4 * ulp) and np.all(np.abs(off.imag) <= 4 * ulp)
 
 
 # ---------------------------------------------------------------- catalog

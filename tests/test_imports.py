@@ -1,12 +1,15 @@
 """museb loads scipy.linalg only where a function needs it.
 
-The library's imports, the file-path CLI commands and the built-in trio
-run on numpy alone; mumeb_qubit, the built-in sets with a (2, 2) leaf and
-the third-basis search import scipy.linalg when they are called.  Each
-case runs in a fresh interpreter, since a module once imported stays in
-sys.modules for the rest of a process.
+The library's imports, every built-in family set (mumeb_qubit and the
+sets with a (2, 2) leaf among them), the generate, compose, verify and
+trio commands run on numpy alone; only the third-basis search imports
+scipy.linalg, inside the function, when it is called.  Each case runs in
+a fresh interpreter, since a module once imported stays in sys.modules
+for the rest of a process.  A static check over the sources keeps that
+search the only place under src/museb that imports scipy at all.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -35,19 +38,61 @@ def _run(code, *args, cwd):
     "assert cli.main(['verify', 'mub5.json']) == 0",
     "from museb import cli\n"
     "assert cli.main(['trio', '--builtin']) == 0",
-], ids=["import", "generate_then_verify", "trio_builtin"])
+    "from museb import cli\n"
+    "assert cli.main(['generate', 'mumeb-qubit', '--out', 'qubit.json']) == 0",
+    "from museb import cli\n"
+    "assert cli.main(['compose', 'example1', '--out', 'example1.json']) == 0",
+    # the set-up of perfbench's grow_c24 workload, then its certification
+    "import museb\n"
+    "qubit = museb.mumeb_qubit()\n"
+    "square3 = museb.FamilySet(tuple(museb.catalog(n) for n in ('S1', 'S2', 'S3')))\n"
+    "assert museb.check_museb_set(museb.tensor_families(qubit, square3)).passed",
+], ids=["import", "generate_then_verify", "trio_builtin", "generate_mumeb_qubit",
+        "compose_example1", "grow_c24_setup"])
 def test_numpy_only_paths_never_load_scipy_linalg(tmp_path, code):
     out = _run(f"import sys\n{code}\nprint('loaded', {_LOADED})", cwd=tmp_path)
     assert out.splitlines()[-1] == "loaded False"
 
 
-# the digests from when scipy.linalg was imported at module level: the frames'
-# element bytes, and the saved run_recipe("example1") of test_familyfile
+def test_third_basis_search_loads_scipy_linalg(tmp_path):
+    code = ("import sys\nfrom museb import cli\n"
+            "assert cli.main(['search', 'third-basis', '--seed', '0']) == 0\n"
+            f"print('loaded', {_LOADED})")
+    assert _run(code, cwd=tmp_path).splitlines()[-1] == "loaded True"
+
+
+def _scipy_imports(tree):
+    """(enclosing function or None, module) for each import of scipy in a module."""
+    found = []
+
+    def walk(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend((func, a.name) for a in child.names if a.name.split(".")[0] == "scipy")
+            elif isinstance(child, ast.ImportFrom) and (child.module or "").split(".")[0] == "scipy":
+                found.append((func, child.module))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            walk(child, inner)
+
+    walk(tree, None)
+    return found
+
+
+def test_only_third_basis_search_imports_scipy():
+    found = []
+    for path in sorted((SRC / "museb").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.extend((path.name, func, module) for func, module in _scipy_imports(tree))
+    assert found == [("search.py", "third_basis_search", "scipy.linalg")]
+
+
+# the digests from when mumeb_qubit computed its frame with scipy.linalg.expm:
+# the frames' element bytes, and the saved run_recipe("example1") of test_familyfile
 _FRAMES = "907bd39f5adfcacca4b4a43851f722863f292c9f0ad94b63bae946f07ac467ae"
 _EXAMPLE1 = "6b94e273e9edeceb01a2ae3cbdb0f4bc6fc6d0ff64fdafe7a124d069df2cd317"
 
 
-def test_mumeb_qubit_loads_scipy_linalg_and_keeps_its_bytes(tmp_path):
+def test_mumeb_qubit_keeps_its_bytes_without_scipy_linalg(tmp_path):
     code = f"""
 import hashlib, sys
 import museb
@@ -59,4 +104,4 @@ museb.save_family_set(museb.run_recipe('example1'), 'example1.json')
 print(hashlib.sha256(open('example1.json', 'rb').read()).hexdigest())
 """
     assert _run(code, cwd=tmp_path).split() == [
-        "before", "False", "after", "True", _FRAMES, _EXAMPLE1]
+        "before", "False", "after", "False", _FRAMES, _EXAMPLE1]
