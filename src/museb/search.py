@@ -9,11 +9,14 @@ the number of pairs.  third_basis_search runs a seeded greedy descent over
 2x2 unitaries, by random steps of one fixed shrinking scale, looking for a
 mixing matrix whose basis would be unbiased to both frozen partners at
 once; it reports the best penalty found and never claims existence, only
-what the descent reached.
+what the descent reached.  Each step is the exponential of a 2x2
+anti-Hermitian matrix, taken in closed form, so the module needs numpy
+alone.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import astuple, dataclass
@@ -199,6 +202,24 @@ def _haar_unitary(rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _expm_skew2(a: float, b: complex, d: float) -> np.ndarray:
+    """exp of the anti-Hermitian 2x2 matrix [[i a, b], [-conj(b), i d]].
+
+    The traceless part M squares to -r^2 I with r^2 = z^2 + |b|^2 and
+    z = (a - d)/2, so exp(M) = cos(r) I + (sin(r)/r) M; the trace part
+    contributes the phase e^{i(a+d)/2}.  Built from Python scalars and one
+    array, since numpy's per-call overhead would cost more than the formula.
+    """
+    z = 0.5 * (a - d)
+    r = math.hypot(z, abs(b))
+    c = math.cos(r)
+    sigma = math.sin(r) / r if r else 1.0
+    phase = cmath.exp(0.5j * (a + d))
+    sb = sigma * b
+    return np.array([[phase * complex(c, sigma * z), phase * sb],
+                     [-phase * sb.conjugate(), phase * complex(c, -sigma * z)]])
+
+
 def third_basis_search(cfg: SearchConfig | None = None) -> SearchOutcome:
     """Greedy seeded descent over 2x2 unitaries minimizing unbiasedness_penalty.
 
@@ -208,7 +229,6 @@ def third_basis_search(cfg: SearchConfig | None = None) -> SearchOutcome:
     outcomes bit for bit.  The returned best cost is recomputed from the
     returned candidate.
     """
-    from scipy.linalg import expm, polar  # local, so that import museb does not load scipy.linalg
     cfg = cfg or SearchConfig()
     targets = _default_targets()
     best: np.ndarray | None = None
@@ -220,15 +240,19 @@ def third_basis_search(cfg: SearchConfig | None = None) -> SearchOutcome:
         accepted = 0
         for it in range(cfg.max_iterations):
             step = _STEP_SCALE * (0.99 ** it)
-            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            skew = (g - g.conj().T) / 2.0
-            cand = w @ expm(step * skew)  # a random unitary step
+            # a random unitary step: exp of step times the anti-Hermitian
+            # part of a complex Gaussian g = re + i im
+            (_, re01), (re10, _) = rng.standard_normal((2, 2)).tolist()
+            (im00, im01), (im10, im11) = rng.standard_normal((2, 2)).tolist()
+            b = step * complex(0.5 * (re01 - re10), 0.5 * (im01 + im10))
+            cand = w @ _expm_skew2(step * im00, b, step * im11)
             cand_cost = unbiasedness_penalty(cand, targets)
             if cand_cost < cost:
                 w, cost = cand, cand_cost
                 accepted += 1
                 if accepted % 64 == 0:
-                    w = polar(w)[0]  # shed accumulated rounding drift
+                    u, _, vh = np.linalg.svd(w)
+                    w = u @ vh  # the polar factor: sheds accumulated rounding drift
         if cost < best_cost:
             best, best_cost = w, cost
     assert best is not None

@@ -162,6 +162,8 @@ def _entries(dev: np.ndarray, measured: np.ndarray, tol: float, checks: int,
              pair: tuple[int, int]) -> VerificationReport:
     """One stage: entries whose dev exceeds tol offend, in row-major order, capped."""
     worst = float(dev.max(initial=0.0))
+    if worst <= tol:  # a passed stage has no offenders; a NaN worst fails here
+        return VerificationReport(True, worst, (), checks)
     offenders = tuple(
         (*pair, int(i), int(j), float(np.abs(measured[i, j])))
         for i, j in np.argwhere(dev > tol)[:MAX_OFFENDERS]

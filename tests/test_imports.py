@@ -1,12 +1,12 @@
-"""museb loads scipy.linalg only where a function needs it.
+"""museb runs on numpy alone.
 
 The library's imports, every built-in family set (mumeb_qubit and the
-sets with a (2, 2) leaf among them), the generate, compose, verify and
-trio commands run on numpy alone; only the third-basis search imports
-scipy.linalg, inside the function, when it is called.  Each case runs in
-a fresh interpreter, since a module once imported stays in sys.modules
-for the rest of a process.  A static check over the sources keeps that
-search the only place under src/museb that imports scipy at all.
+sets with a (2, 2) leaf among them) and every CLI command, the
+third-basis search included, never load scipy.linalg, and they all exit
+0 in an interpreter where import scipy fails.  Each case runs in a fresh
+interpreter, since a module once imported stays in sys.modules for the
+rest of a process.  A static check over the sources keeps every file
+under src/museb free of scipy imports; scipy is a test-only dependency.
 """
 
 import ast
@@ -54,11 +54,29 @@ def test_numpy_only_paths_never_load_scipy_linalg(tmp_path, code):
     assert out.splitlines()[-1] == "loaded False"
 
 
-def test_third_basis_search_loads_scipy_linalg(tmp_path):
+def test_third_basis_search_never_loads_scipy_linalg(tmp_path):
     code = ("import sys\nfrom museb import cli\n"
             "assert cli.main(['search', 'third-basis', '--seed', '0']) == 0\n"
             f"print('loaded', {_LOADED})")
-    assert _run(code, cwd=tmp_path).splitlines()[-1] == "loaded True"
+    assert _run(code, cwd=tmp_path).splitlines()[-1] == "loaded False"
+
+
+def test_every_command_runs_where_scipy_cannot_be_imported(tmp_path):
+    # a None entry in sys.modules makes every import of scipy raise ImportError
+    code = """
+import sys
+sys.modules['scipy'] = None
+from museb import cli
+for argv in (['generate', 'mub', '5', '--out', 'mub5.json'],
+             ['verify', 'mub5.json'],
+             ['compose', 'example1', '--out', 'example1.json'],
+             ['trio', '--builtin'],
+             ['search', 'third-basis', '--seed', '0', '--iterations', '20', '--restarts', '1'],
+             ['search', 'closure', '--pairs', '50']):
+    assert cli.main(argv) == 0, argv
+print('done')
+"""
+    assert _run(code, cwd=tmp_path).splitlines()[-1] == "done"
 
 
 def _scipy_imports(tree):
@@ -78,12 +96,12 @@ def _scipy_imports(tree):
     return found
 
 
-def test_only_third_basis_search_imports_scipy():
+def test_no_source_file_imports_scipy():
     found = []
     for path in sorted((SRC / "museb").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found.extend((path.name, func, module) for func, module in _scipy_imports(tree))
-    assert found == [("search.py", "third_basis_search", "scipy.linalg")]
+    assert found == []
 
 
 # the digests from when mumeb_qubit computed its frame with scipy.linalg.expm:

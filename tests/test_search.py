@@ -1,8 +1,9 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from museb import (
@@ -19,7 +20,7 @@ from museb import (
     third_basis_search,
     unbiasedness_penalty,
 )
-from museb.search import _SWEEP_BLOCK, _closure_deviations, _sweep_deviations
+from museb.search import _SWEEP_BLOCK, _closure_deviations, _expm_skew2, _sweep_deviations
 from museb.verify import _overlap_gram
 
 REFERENCE = ThetaParams(0.0, 1.5 * np.pi, 0.0)
@@ -96,6 +97,50 @@ def test_search_best_cost_matches_recomputed_penalty():
     out = third_basis_search(SearchConfig(seed=8, max_iterations=50, restarts=2))
     assert abs(out.best_cost - unbiasedness_penalty(out.best_candidate)) < 1e-15
     assert not out.converged_to_zero
+
+
+# best_cost of the default search at seeds 0-11 while each step was
+# scipy.linalg.expm and the clean-up scipy.linalg.polar
+SCIPY_STEP_BEST_COST = (
+    0.12471402561960657, 0.2862555448530672, 0.12485517490039513, 0.1247538031188759,
+    0.12484980651019015, 0.1247424356217412, 0.12486148216486574, 0.12486181688486997,
+    0.12473998163956684, 0.12482830819536764, 0.1247049319304944, 0.12484856926458285,
+)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_closed_form_step_walks_the_scipy_path_to_rounding(seed):
+    out = third_basis_search(SearchConfig(seed=seed))
+    assert math.isclose(out.best_cost, SCIPY_STEP_BEST_COST[seed], rel_tol=1e-14)
+    assert out.iterations_used == 1200
+    assert out.converged_to_zero is False
+    assert out.best_cost == unbiasedness_penalty(out.best_candidate)
+
+
+def _skew(a, b, d):
+    return np.array([[1j * a, b], [-np.conj(b), 1j * d]])
+
+
+# anti-Hermitian s with Frobenius norm at most 4
+skew_parts = st.tuples(*[st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)] * 4).map(
+    lambda p: (p[0], complex(p[1], p[2]) / math.sqrt(2.0), p[3])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(skew_parts)
+@example((0.0, 0j, 0.0))  # s = 0
+@example((0.7, 0j, 0.7))  # s = i a I, so r = 0
+@example((-2.5, 0j, -2.5))
+@example((2e-300, 0j, 0.0))  # r = 1e-300
+@example((0.0, 1e-300j, 0.0))
+@example((1.3, complex(6e-301, 8e-301), 1.3))
+def test_expm_skew2_matches_scipy_and_is_unitary(parts):
+    from scipy.linalg import expm  # a test-only reference; museb itself runs on numpy alone
+
+    got = _expm_skew2(*parts)
+    assert np.abs(got - expm(_skew(*parts))).max() <= 1e-14
+    assert np.abs(got.conj().T @ got - np.eye(2)).max() <= 1e-14
 
 
 def test_search_zero_iterations_reports_initial_cost():

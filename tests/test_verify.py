@@ -397,6 +397,30 @@ def test_kernel_reproduces_einsum_reports(monkeypatch, name, variant):
     assert abs(got.worst_violation - want.worst_violation) <= bound
 
 
+def full_stage(dev, measured, tol, checks, pair):
+    # the stage rule without its early return for a passed stage
+    worst = float(dev.max(initial=0.0))
+    offenders = tuple((*pair, int(i), int(j), float(np.abs(measured[i, j])))
+                      for i, j in np.argwhere(dev > tol)[:MAX_OFFENDERS])
+    return worst <= tol, worst, offenders, checks
+
+
+stage_devs = st.lists(st.one_of(st.floats(min_value=0.0, max_value=1e-6), st.just(np.nan)),
+                      min_size=1, max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stage_devs, st.floats(min_value=0.0, max_value=1e-6))
+def test_stage_rule_matches_the_full_offender_scan(values, tol):
+    dev = np.array(values).reshape(len(values), 1)
+    measured = 1.0 + dev
+    got = verify._entries(dev, measured, tol, dev.size, (0, 1))
+    passed, worst, offenders, checks = full_stage(dev, measured, tol, dev.size, (0, 1))
+    assert (got.passed, got.offenders, got.checks_run) == (passed, offenders, checks)
+    assert got.worst_violation == worst or (np.isnan(got.worst_violation) and np.isnan(worst))
+    assert not (np.isnan(worst) and got.passed)
+
+
 @functools.cache
 def regression_set(name):
     return REGRESSION_SETS[name]()
