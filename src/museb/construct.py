@@ -172,12 +172,17 @@ def theta_mixing_matrix(theta: ThetaParams) -> np.ndarray:
     return _mixers(theta.theta1, theta.theta2, theta.theta3)
 
 
-def _c23_elements(mixer) -> np.ndarray:
-    # the one (2, 3) formula: element i is mixer.T @ weyl_meb(2, 3)[i]
+def _as_mixer(mixer) -> np.ndarray:
+    # a finite 2x2 complex matrix, or ShapeMismatch / ValueError
     a = as_matrix(mixer)
     if a.shape != (2, 2):
         raise ValueError(f"mixer must be 2x2, got {a.shape}")
-    return a.T @ _W23
+    return a
+
+
+def _c23_elements(mixer) -> np.ndarray:
+    # the one (2, 3) formula: element i is mixer.T @ weyl_meb(2, 3)[i]
+    return _as_mixer(mixer).T @ _W23
 
 
 def c23_family(mixer, label: str = "") -> BasisFamily:

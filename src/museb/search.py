@@ -9,22 +9,25 @@ the number of pairs.  third_basis_search runs a seeded greedy descent over
 2x2 unitaries, by random steps of one fixed shrinking scale, looking for a
 mixing matrix whose basis would be unbiased to both frozen partners at
 once; it reports the best penalty found and never claims existence, only
-what the descent reached.  Each step is the exponential of a 2x2
-anti-Hermitian matrix, taken in closed form, so the module needs numpy
-alone.
+what the descent reached.  The overlaps of a mixed basis are
+conjugate-linear in the mixer's four entries, so the penalty is one small
+matmul against a kernel of overlap Grams, cached for the frozen partners.
+Restarts walk in lockstep groups, each restart on its own rng stream, and
+every iteration scores the whole group's candidates in that one matmul.
+Each step is the exponential of a 2x2 anti-Hermitian matrix, taken in
+closed form, so the module needs numpy alone.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .construct import ThetaParams, _c23_elements, _mixers, _residual, _theta3, catalog
-from .errors import NotAdmissible
+from .construct import ThetaParams, _as_mixer, _c23_elements, _mixers, _residual, _theta3, catalog
+from .errors import EmptyInput, NotAdmissible, ShapeMismatch
 from .matspace import _check_tol
 from .verify import BasisFamily, _overlap_gram
 
@@ -46,6 +49,12 @@ _PATTERN = np.array([[1.0, np.sqrt(2.0)], [np.sqrt(2.0), 1.0]]) / np.sqrt(3.0)
 _SWEEP_BLOCK = 1024
 # first step size of the descent's random walk; it shrinks by 1% per iteration
 _STEP_SCALE = 0.25
+# restarts that walk in lockstep, and iterations per rng draw; together they
+# bound the walk's memory
+_RESTART_BLOCK = 64
+_ITER_BLOCK = 256
+# the overlap modulus of two unbiased bases of C^2 (x) C^3
+_GOAL = 1.0 / np.sqrt(6.0)
 
 
 def _check_count(name: str, value: int, least: int) -> None:
@@ -93,29 +102,55 @@ class ClosureSweep:
     failures: int
 
 
+def _penalty_kernel(targets) -> np.ndarray:
+    """The (4, 36 * len(targets)) kernel K with overlaps(w) = w.reshape(4).conj() @ K.
+
+    Row n holds the flattened overlap Grams, against each target, of the
+    basis mixed by the n-th unit 2x2 matrix.  Raises EmptyInput for no
+    targets, TypeError for a target that is not a BasisFamily, and
+    ShapeMismatch for one that is not six elements of C^2 (x) C^3.
+    """
+    targets = tuple(targets)
+    if not targets:
+        raise EmptyInput("the penalty needs at least one target family")
+    for t in targets:
+        if not isinstance(t, BasisFamily):
+            raise TypeError(f"a target must be a BasisFamily, got {type(t).__name__}")
+        if t.elements.shape != (6, 2, 3):
+            raise ShapeMismatch(f"a target must be a basis of C^2 (x) C^3, "
+                                f"got elements of shape {t.elements.shape}")
+    units = np.concatenate([_c23_elements(e) for e in np.eye(4).reshape(4, 2, 2)])
+    return np.concatenate([_overlap_gram(units, t.elements).reshape(4, 36) for t in targets],
+                          axis=1)
+
+
 @functools.cache
-def _default_targets() -> tuple[BasisFamily, BasisFamily]:
-    # the frozen partners, built from their kets once; their arrays are read-only
-    return catalog("eq16"), catalog("eq17")
+def _default_kernel() -> np.ndarray:
+    # the kernel of the frozen partners eq16 and eq17, built on first use
+    kernel = _penalty_kernel((catalog("eq16"), catalog("eq17")))
+    kernel.setflags(write=False)
+    return kernel
+
+
+def _penalties(ws: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    # the penalty of each 2x2 mixer in a stack, by one matmul against the kernel
+    return ((np.abs(ws.reshape(-1, 4).conj() @ kernel) - _GOAL) ** 2).sum(axis=1)
 
 
 def unbiasedness_penalty(w, targets=None) -> float:
     """Sum of squared overlap-magnitude errors of the basis mixed by w.
 
     The candidate 2x2 matrix is expanded into its basis of C^2 (x) C^3 and
-    compared against each target family; a perfect third basis would score
-    exactly zero.  Invariant under a global phase on w.  Raises ValueError
-    when w has a non-finite entry, or entries so large that the overlaps
-    overflow.
+    compared against each target family (by default the frozen partners
+    eq16 and eq17); a perfect third basis would score exactly zero.
+    Invariant under a global phase on w.  Raises ValueError when w has a
+    non-finite entry, or entries so large that the overlaps overflow, and
+    EmptyInput, TypeError or ShapeMismatch for targets that are not one or
+    more bases of C^2 (x) C^3.
     """
-    elements = _c23_elements(w)
-    if targets is None:
-        targets = _default_targets()
-    goal = 1.0 / np.sqrt(6.0)
-    pen = 0.0
-    for t in targets:
-        mags = np.abs(_overlap_gram(elements, t.elements))
-        pen += float(((mags - goal) ** 2).sum())
+    a = _as_mixer(w)
+    kernel = _default_kernel() if targets is None else _penalty_kernel(targets)
+    pen = float(_penalties(a, kernel)[0])
     if not math.isfinite(pen):
         raise ValueError(f"penalty overflows to {pen}: mixer entries are too large")
     return pen
@@ -202,61 +237,99 @@ def _haar_unitary(rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _expm_skew2(a: float, b: complex, d: float) -> np.ndarray:
-    """exp of the anti-Hermitian 2x2 matrix [[i a, b], [-conj(b), i d]].
+def _expm_skew2(a, b, d) -> np.ndarray:
+    """exp of each anti-Hermitian 2x2 matrix [[i a, b], [-conj(b), i d]].
 
     The traceless part M squares to -r^2 I with r^2 = z^2 + |b|^2 and
     z = (a - d)/2, so exp(M) = cos(r) I + (sin(r)/r) M; the trace part
-    contributes the phase e^{i(a+d)/2}.  Built from Python scalars and one
-    array, since numpy's per-call overhead would cost more than the formula.
+    contributes the phase e^{i(a+d)/2}.  a and d are real and b complex,
+    scalars or arrays of one shape; the result has that shape plus (2, 2).
     """
     z = 0.5 * (a - d)
-    r = math.hypot(z, abs(b))
-    c = math.cos(r)
-    sigma = math.sin(r) / r if r else 1.0
-    phase = cmath.exp(0.5j * (a + d))
+    r = np.hypot(z, np.abs(b))
+    c = np.cos(r)
+    sigma = np.sinc(r / np.pi)  # sin(r)/r, and 1 at r = 0
+    phase = np.exp(0.5j * (a + d))
     sb = sigma * b
-    return np.array([[phase * complex(c, sigma * z), phase * sb],
-                     [-phase * sb.conjugate(), phase * complex(c, -sigma * z)]])
+    out = np.empty(np.shape(r) + (2, 2), dtype=complex)
+    out[..., 0, 0] = phase * (c + 1j * (sigma * z))
+    out[..., 0, 1] = phase * sb
+    out[..., 1, 0] = -phase * sb.conjugate()
+    out[..., 1, 1] = phase * (c - 1j * (sigma * z))
+    return out
+
+
+def _random_steps(rngs: list[np.random.Generator], start: int, count: int) -> np.ndarray:
+    """The unitary steps of iterations start .. start + count - 1 for each rng.
+
+    The result has shape (count, len(rngs), 2, 2).  Each step is exp of the
+    step size times the anti-Hermitian part of a complex Gaussian
+    g = re + i im; every rng draws its re and im for each iteration in
+    turn, as one (count, 2, 2, 2) array.
+    """
+    g = np.stack([rng.standard_normal((count, 2, 2, 2)) for rng in rngs], axis=1)
+    step = np.array([_STEP_SCALE * (0.99 ** it) for it in range(start, start + count)])[:, None]
+    re, im = g[:, :, 0], g[:, :, 1]
+    b = (0.5 * (re[..., 0, 1] - re[..., 1, 0])) + 1j * (0.5 * (im[..., 0, 1] + im[..., 1, 0]))
+    return _expm_skew2(step * im[..., 0, 0], step * b, step * im[..., 1, 1])
+
+
+def _walk(rngs: list[np.random.Generator], iterations: int, kernel: np.ndarray):
+    """Walk one lockstep group of restarts; return their mixers and costs.
+
+    Restart i starts from a Haar unitary of rngs[i] and accepts a step only
+    when it strictly lowers that restart's cost, so each cost is
+    nonincreasing.  Every 64th accept of a restart replaces its mixer by
+    the polar factor, shedding accumulated rounding drift.
+    """
+    w = np.stack([_haar_unitary(rng) for rng in rngs])
+    cost = _penalties(w, kernel)
+    accepted = np.zeros(len(rngs), dtype=np.int64)
+    for start in range(0, iterations, _ITER_BLOCK):
+        steps = _random_steps(rngs, start, min(_ITER_BLOCK, iterations - start))
+        for step in steps:
+            cand = w @ step
+            cand_cost = _penalties(cand, kernel)
+            take = cand_cost < cost
+            if not take.any():
+                continue
+            w = np.where(take[:, None, None], cand, w)
+            cost = np.where(take, cand_cost, cost)
+            accepted += take
+            polish = take & (accepted % 64 == 0)
+            if polish.any():
+                u, _, vh = np.linalg.svd(w[polish])
+                w[polish] = u @ vh
+    return w, cost
 
 
 def third_basis_search(cfg: SearchConfig | None = None) -> SearchOutcome:
     """Greedy seeded descent over 2x2 unitaries minimizing unbiasedness_penalty.
 
-    Each restart draws a fresh Haar start from a child seed and walks by
-    random unitary steps, keeping only improvements, so the cost is
+    Each restart draws a fresh Haar start from its own child seed and walks
+    by random unitary steps, keeping only improvements, so the cost is
     nonincreasing within a restart and identical seeds reproduce identical
-    outcomes bit for bit.  The returned best cost is recomputed from the
-    returned candidate.
+    outcomes bit for bit.  Restarts walk in lockstep groups of up to
+    _RESTART_BLOCK, each iteration scoring the group's candidates in one
+    matmul, and draw their steps in blocks of up to _ITER_BLOCK iterations,
+    so memory stays flat however many restarts and iterations are asked
+    for; neither block size changes the outcome.  The best is the first
+    restart with the lowest cost, and the returned best cost is recomputed
+    from the returned candidate.
     """
     cfg = cfg or SearchConfig()
-    targets = _default_targets()
+    kernel = _default_kernel()
     best: np.ndarray | None = None
     best_cost = np.inf
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, restart])
-        w = _haar_unitary(rng)
-        cost = unbiasedness_penalty(w, targets)
-        accepted = 0
-        for it in range(cfg.max_iterations):
-            step = _STEP_SCALE * (0.99 ** it)
-            # a random unitary step: exp of step times the anti-Hermitian
-            # part of a complex Gaussian g = re + i im
-            (_, re01), (re10, _) = rng.standard_normal((2, 2)).tolist()
-            (im00, im01), (im10, im11) = rng.standard_normal((2, 2)).tolist()
-            b = step * complex(0.5 * (re01 - re10), 0.5 * (im01 + im10))
-            cand = w @ _expm_skew2(step * im00, b, step * im11)
-            cand_cost = unbiasedness_penalty(cand, targets)
-            if cand_cost < cost:
-                w, cost = cand, cand_cost
-                accepted += 1
-                if accepted % 64 == 0:
-                    u, _, vh = np.linalg.svd(w)
-                    w = u @ vh  # the polar factor: sheds accumulated rounding drift
-        if cost < best_cost:
-            best, best_cost = w, cost
+    for first in range(0, cfg.restarts, _RESTART_BLOCK):
+        group = range(first, min(first + _RESTART_BLOCK, cfg.restarts))
+        w, cost = _walk([np.random.default_rng([cfg.seed, r]) for r in group],
+                        cfg.max_iterations, kernel)
+        i = int(np.argmin(cost))
+        if cost[i] < best_cost:
+            best, best_cost = w[i].copy(), cost[i]
     assert best is not None
-    final_cost = unbiasedness_penalty(best, targets)
+    final_cost = unbiasedness_penalty(best)
     return SearchOutcome(
         best_cost=final_cost,
         best_candidate=best,

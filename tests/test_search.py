@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from museb import (
+    EmptyInput,
     NotAdmissible,
     SearchConfig,
     ShapeMismatch,
@@ -19,8 +20,17 @@ from museb import (
     theta_mixing_matrix,
     third_basis_search,
     unbiasedness_penalty,
+    weyl_meb,
 )
-from museb.search import _SWEEP_BLOCK, _closure_deviations, _expm_skew2, _sweep_deviations
+from museb import search
+from museb.search import (
+    _SWEEP_BLOCK,
+    _closure_deviations,
+    _default_kernel,
+    _expm_skew2,
+    _penalties,
+    _sweep_deviations,
+)
 from museb.verify import _overlap_gram
 
 REFERENCE = ThetaParams(0.0, 1.5 * np.pi, 0.0)
@@ -292,8 +302,20 @@ entries = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 @settings(max_examples=200, deadline=None)
 @given(st.lists(entries, min_size=8, max_size=8))
 def test_penalty_equals_the_basis_family_reference(parts):
+    # the kernel sums each overlap over the four mixer entries in its own
+    # order, so the two agree to rounding rather than bit for bit
     w = (np.array(parts[:4]) + 1j * np.array(parts[4:])).reshape(2, 2)
-    assert unbiasedness_penalty(w) == reference_penalty(w)
+    assert math.isclose(unbiasedness_penalty(w), reference_penalty(w), rel_tol=1e-14)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(entries, min_size=8, max_size=8), min_size=1, max_size=70))
+def test_batched_penalties_equal_the_single_mixer_penalty(rows):
+    parts = np.array(rows)
+    stack = (parts[:, :4] + 1j * parts[:, 4:]).reshape(-1, 2, 2)
+    got = _penalties(stack, _default_kernel())
+    assert got.shape == (len(stack),)
+    assert [float(p) for p in got] == [unbiasedness_penalty(w) for w in stack]
 
 
 @pytest.mark.parametrize("w, error", [
@@ -309,3 +331,53 @@ def test_penalty_equals_the_basis_family_reference(parts):
 def test_penalty_keeps_every_input_check(w, error):
     with np.errstate(over="ignore"), pytest.raises(error):
         unbiasedness_penalty(w)
+
+
+@pytest.mark.parametrize("targets, error", [
+    ((), EmptyInput),  # no target would score every mixer a perfect 0.0
+    ([], EmptyInput),
+    ((np.ones((6, 2, 3)),), TypeError),  # a bare array, not a BasisFamily
+    (catalog("eq16"), TypeError),  # one family rather than a collection of them
+    ((weyl_meb(2, 2),), ShapeMismatch),
+    ((catalog("eq16"), weyl_meb(3, 3)), ShapeMismatch),
+])
+def test_penalty_checks_its_targets(targets, error):
+    with pytest.raises(error):
+        unbiasedness_penalty(np.eye(2), targets=targets)
+
+
+def test_penalty_with_the_default_targets_given_explicitly():
+    w = theta_mixing_matrix(ThetaParams(0.3, 1.1, solve_theta(0.3, 1.1)))
+    given_targets = unbiasedness_penalty(w, targets=[catalog("eq16"), catalog("eq17")])
+    assert given_targets == unbiasedness_penalty(w)
+
+
+def test_search_blocks_do_not_change_the_outcome(monkeypatch):
+    cfg = SearchConfig(seed=4, max_iterations=40, restarts=5)
+    want = third_basis_search(cfg)
+    monkeypatch.setattr(search, "_RESTART_BLOCK", 3)
+    monkeypatch.setattr(search, "_ITER_BLOCK", 7)
+    got = third_basis_search(cfg)
+    assert got.best_cost == want.best_cost
+    assert np.array_equal(got.best_candidate, want.best_candidate)
+    assert got.iterations_used == want.iterations_used == 200
+
+
+def test_search_memory_does_not_grow_with_restarts():
+    # one ungrouped (10000, 72) complex overlap array alone would be 11.5 MB
+    third_basis_search(SearchConfig(restarts=1, max_iterations=1))  # build the kernel
+    tracemalloc.start()
+    try:
+        out = third_basis_search(SearchConfig(restarts=10_000, max_iterations=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.iterations_used == 20_000
+    assert peak < 4 * 1024 * 1024
+
+
+def test_search_best_candidate_is_its_own_writable_array():
+    out = third_basis_search(SearchConfig(seed=3, max_iterations=20, restarts=3))
+    assert out.best_candidate.shape == (2, 2)
+    assert out.best_candidate.flags.writeable and out.best_candidate.flags.owndata
+    out.best_candidate[0, 0] *= 2.0  # callers may scale it in place
