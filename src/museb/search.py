@@ -10,10 +10,12 @@ the number of pairs.  third_basis_search runs a seeded greedy descent over
 mixing matrix whose basis would be unbiased to both frozen partners at
 once; it reports the best penalty found and never claims existence, only
 what the descent reached.  The overlaps of a mixed basis are
-conjugate-linear in the mixer's four entries, so the penalty is one small
-matmul against a kernel of overlap Grams, cached for the frozen partners.
-Restarts walk in lockstep groups, each restart on its own rng stream, and
-every iteration scores the whole group's candidates in that one matmul.
+conjugate-linear in the mixer's four entries, so the penalty is a
+four-term sum against a kernel of overlap Grams, cached for the frozen
+partners.  Restarts walk in lockstep groups, each restart on its own rng
+stream, and every iteration scores the whole group's candidates at once;
+the sum adds its four terms in one fixed order, so a candidate scores the
+same bits in a group of any size.
 Each step is the exponential of a 2x2 anti-Hermitian matrix, taken in
 closed form, so the module needs numpy alone.
 """
@@ -133,8 +135,17 @@ def _default_kernel() -> np.ndarray:
 
 
 def _penalties(ws: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    # the penalty of each 2x2 mixer in a stack, by one matmul against the kernel
-    return ((np.abs(ws.reshape(-1, 4).conj() @ kernel) - _GOAL) ** 2).sum(axis=1)
+    """The penalty of each 2x2 mixer in a stack, its overlaps taken against the kernel.
+
+    Each overlap adds its four terms conj(w_n) K[n] elementwise in the order
+    n = 0..3, so a mixer scores the same bits in a stack of any size; a BLAS
+    matmul may round one row differently from many.
+    """
+    a = ws.reshape(-1, 4, 1).conj()
+    g = a[:, 0] * kernel[0]
+    for n in range(1, 4):
+        g += a[:, n] * kernel[n]
+    return ((np.abs(g) - _GOAL) ** 2).sum(axis=1)
 
 
 def unbiasedness_penalty(w, targets=None) -> float:
@@ -310,12 +321,13 @@ def third_basis_search(cfg: SearchConfig | None = None) -> SearchOutcome:
     by random unitary steps, keeping only improvements, so the cost is
     nonincreasing within a restart and identical seeds reproduce identical
     outcomes bit for bit.  Restarts walk in lockstep groups of up to
-    _RESTART_BLOCK, each iteration scoring the group's candidates in one
-    matmul, and draw their steps in blocks of up to _ITER_BLOCK iterations,
-    so memory stays flat however many restarts and iterations are asked
-    for; neither block size changes the outcome.  The best is the first
-    restart with the lowest cost, and the returned best cost is recomputed
-    from the returned candidate.
+    _RESTART_BLOCK, each iteration scoring the group's candidates at once,
+    and draw their steps in blocks of up to _ITER_BLOCK iterations, so
+    memory stays flat however many restarts and iterations are asked for.
+    Neither block size changes the outcome: every restart's arithmetic is
+    done row by row, the same in a group or block of any size.  The best is
+    the first restart with the lowest cost, and the returned best cost is
+    recomputed from the returned candidate.
     """
     cfg = cfg or SearchConfig()
     kernel = _default_kernel()

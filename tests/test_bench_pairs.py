@@ -48,6 +48,19 @@ def test_claim_needs_the_share_of_pairs_and_a_gain_beyond_the_parent_spread():
     assert bench_pairs.claim_holds([1.0] * 10, [2.0] * 10, "higher")
 
 
+def test_claim_is_decided_on_unrounded_quartiles():
+    # to four decimals the parent's q1, median and q3 all read 0.0101 and the
+    # change's median 0.01, a gain of 0.0001 over a q3 - q1 of 0; unrounded
+    # the gain is 0.00002 and the parent's q3 - q1 is 0.0000525
+    parent = [0.01005] * 3 + [0.01006] * 4 + [0.01012] * 3
+    change = [p - 0.00002 for p in parent]
+    assert bench_pairs.summarize(parent) == {
+        "median": 0.0101, "q1": 0.0101, "q3": 0.0101, "spread": 0.0052}
+    assert bench_pairs.summarize(change)["median"] == 0.01
+    assert bench_pairs.better_in_pairs(parent, change) == 10
+    assert not bench_pairs.claim_holds(parent, change)
+
+
 def test_parent_first_alternates_by_pair_and_by_workload():
     assert [bench_pairs.parent_first(p, 0) for p in range(4)] == [True, False, True, False]
     assert [bench_pairs.parent_first(0, j) for j in range(3)] == [True, False, True]

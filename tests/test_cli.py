@@ -301,16 +301,17 @@ def test_search_closure_reports_all_failures(capsys):
 # sha256 of the stdout of the per-pair scalar probe path, before batching;
 # the third-basis entries were re-recorded when the walk's step became the
 # closed-form 2x2 exponential, and again when the walk began scoring its
-# restarts in one kernel matmul; each moved only the last digits of best_cost
+# restarts together against one penalty kernel; each moved only the last
+# digits of best_cost
 SEARCH_STDOUT_SHA256 = {
     ("search", "third-basis", "--seed", "0"):
-        "9de9234b02137f2ef015604aeacc8bb06339a8100533dff35bd6b9e5399e55e6",
+        "75ce21ad19c1a8cbd034104347e2a155aa5c152bbed11a763a04078b8004aa4e",
     ("search", "third-basis", "--seed", "1"):
         "79cd8219ed22c1d7ef277440aac037c3442cd29fb6dea7082685ddc9f0c7aa45",
     ("search", "third-basis", "--seed", "2"):
-        "100b954ee613bc4a8ebd5b3ce1d4e2fb56b8cf4e0f4fe087d90ee6714b957ecf",
+        "f26084694f92c40652654503d4fd3825ebee0683cb8803dc9f6cc8db2e62f7c9",
     ("search", "third-basis", "--seed", "3"):
-        "3cabd41b20f5ddf4551b771c9a3fee04f19bb75fb6f6c51af05831bd076f69ac",
+        "ad08717bac5cd3a9e16958f674818d471a634cc0d97840d58a5d0787925266e3",
     ("search", "closure", "--pairs", "10000", "--seed", "0"):
         "6d5111e5ebbfdb56a206527f162d1d973f46ca9a8226c95cd06b8a1123d4f7f8",
     ("search", "closure", "--pairs", "200", "--seed", "0", "--tol", "1e-6"):

@@ -1,11 +1,12 @@
 """Paired benchmark runs of a parent commit against the working tree.
 
-    python3 tools/bench_pairs.py --parent HEAD --pr 17 [--pairs 10] [--workloads probe_search]
+    python3 tools/bench_pairs.py --parent HEAD --pr 17 [--claim probe_search:op_s_p50]
 
 Run from anywhere inside the repository.  The parent revision is extracted
 with ``git archive`` and the working tree's files (tracked and untracked, not
 ignored) are copied, each into a clean temporary directory, so nothing is
-written to the repository until the result.  Every pair runs
+written to the repository until the result.  Every workload in
+BENCHMARK.json gets PAIRS pairs, and every pair runs
 
     python3 perfbench/run.py --workload <w> --seed <s> --seconds <run_seconds> --trace 0
 
@@ -31,14 +32,21 @@ from pathlib import Path
 
 import numpy as np
 
+PAIRS = 10  # pairs per workload; the paired rule needs at least ten
 CLAIM_SHARE = 0.9  # a claimed gain must show in at least this share of the pairs
 
 
-def summarize(values) -> dict:
-    """Median, quartiles and spread (q3 - q1) / median of one side's values."""
+def _quartiles(values) -> tuple[float, float, float]:
     q1, median, q3 = np.percentile(np.asarray(values, dtype=float), [25, 50, 75])
-    return {"median": round(float(median), 4), "q1": round(float(q1), 4),
-            "q3": round(float(q3), 4), "spread": round(float((q3 - q1) / median), 4)}
+    return float(q1), float(median), float(q3)
+
+
+def summarize(values) -> dict:
+    """Median, quartiles and spread (q3 - q1) / median of one side's values,
+    rounded to four decimals for the record."""
+    q1, median, q3 = _quartiles(values)
+    return {"median": round(median, 4), "q1": round(q1, 4),
+            "q3": round(q3, 4), "spread": round((q3 - q1) / median, 4)}
 
 
 def better_in_pairs(parent, change, better: str = "lower") -> int:
@@ -50,11 +58,13 @@ def better_in_pairs(parent, change, better: str = "lower") -> int:
 
 def claim_holds(parent, change, better: str = "lower") -> bool:
     """A gain holds when the change is better in at least CLAIM_SHARE of the
-    pairs and its median beats the parent's by more than the parent's q3 - q1."""
-    p, c = summarize(parent), summarize(change)
-    gain = p["median"] - c["median"] if better == "lower" else c["median"] - p["median"]
+    pairs and its median beats the parent's by more than the parent's q3 - q1.
+    Decided on the unrounded quartiles."""
+    p_q1, p_median, p_q3 = _quartiles(parent)
+    c_median = _quartiles(change)[1]
+    gain = p_median - c_median if better == "lower" else c_median - p_median
     share = better_in_pairs(parent, change, better) / len(parent)
-    return share >= CLAIM_SHARE and gain > p["q3"] - p["q1"]
+    return share >= CLAIM_SHARE and gain > p_q3 - p_q1
 
 
 def parent_first(pair: int, workload: int) -> bool:
@@ -122,8 +132,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the revision to compare against")
     parser.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workloads", nargs="+", help="default: every workload")
     parser.add_argument("--change", default="", help="one line saying what the change does")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC",
                         help="the claimed gain, checked against the paired rule")
@@ -131,13 +139,13 @@ def main(argv: list[str] | None = None) -> int:
 
     root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    names = [w["name"] for w in spec["workloads"]]
-    workloads = args.workloads or names
-    unknown = sorted(set(workloads) - set(names))
-    if unknown or args.pairs < 1:
-        parser.error(f"unknown workloads {unknown}" if unknown else "--pairs must be >= 1")
+    workloads = [w["name"] for w in spec["workloads"]]
     metrics = spec["end_to_end"]
     seconds = spec["run_seconds"]
+    if args.claim:  # checked before the runs, which take the better part of an hour
+        workload, _, metric = args.claim.partition(":")
+        if workload not in workloads or metric not in [m["name"] for m in metrics]:
+            parser.error(f"--claim {args.claim!r} names no workload:metric of BENCHMARK.json")
     parent_rev = _git(root, "rev-parse", "--short", args.parent).decode().strip()
 
     runs: dict[str, list] = {w: [] for w in workloads}
@@ -148,9 +156,9 @@ def main(argv: list[str] | None = None) -> int:
             path.mkdir()
         extract_parent(root, args.parent, sides["parent"])
         copy_working_tree(root, sides["change"])
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             for j, w in enumerate(workloads):
-                seed = 1000 * args.pr + 100 * names.index(w) + pair + 1
+                seed = 1000 * args.pr + 100 * j + pair + 1
                 order = ("parent", "change") if parent_first(pair, j) else ("change", "parent")
                 result = {}
                 for side in order:
@@ -169,13 +177,12 @@ def main(argv: list[str] | None = None) -> int:
         "method": ("tools/bench_pairs.py: parent (git archive) and change (the working tree's "
                    "files) run from clean copies, alternating which runs first from pair to "
                    "pair and from workload to workload, the workloads interleaved "
-                   f"{', '.join(workloads)}; {args.pairs} pairs per workload; q1/median/q3 by "
+                   f"{', '.join(workloads)}; {PAIRS} pairs per workload; q1/median/q3 by "
                    "numpy.percentile over the pairs' values; spread = (q3 - q1) / median, as "
                    "in perfbench/baseline.json"),
         "env": env,
     }
     if args.claim:
-        workload, metric = args.claim.split(":")
         better = next(m["better"] for m in metrics if m["name"] == metric)
         values = [(p["metrics"][metric]["value"], c["metrics"][metric]["value"])
                   for _, _, p, c in runs[workload]]
