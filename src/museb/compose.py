@@ -35,7 +35,7 @@ import numpy as np
 from .construct import catalog, factorize, mub_prime, mumeb_qubit
 from .errors import EmptyInput, UnsupportedParameters, VerificationFailed
 from .matspace import _check_tol, _require_int
-from .verify import BasisFamily, FamilySet, check_museb_set
+from .verify import BasisFamily, FamilySet, _product, check_museb_set
 
 __all__ = [
     "RECIPE_NAMES",
@@ -65,7 +65,7 @@ def tensor_families(s: FamilySet, t: FamilySet) -> FamilySet:
         prod = np.einsum("aij,bkl->abikjl", left, right)
         elements = prod.reshape(len(s[i]) * len(t[i]), d, dp)
         label = _join_labels(s[i].label, t[i].label)
-        families.append(BasisFamily(d=d, dprime=dp, k=k, elements=elements, label=label))
+        families.append(_product(d, dp, k, elements, label, (s[i], t[i])))
     return FamilySet(tuple(families))
 
 

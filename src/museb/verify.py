@@ -6,7 +6,9 @@ matrix form each element has k singular values equal to 1/sqrt(k) and the
 rest zero.  Two such bases are mutually unbiased when every cross overlap
 has magnitude 1/sqrt(d d').  The checks below certify these properties to
 explicit tolerances and report the worst violation seen, so a failed check
-is as informative as a passed one.
+is as informative as a passed one.  A family built by tensor_families is
+certified through its factors: its Gram is the kron of theirs and its
+singular values are products of theirs, O((dd')^2) per pair instead of O((dd')^3).
 """
 
 from __future__ import annotations
@@ -66,8 +68,15 @@ class BasisFamily:
     k: int
     elements: np.ndarray
     label: str = ""
+    # (left, right) when the elements are tensor_families' kron of these two
+    # families; set only by _product, so a rebuilt or replaced family has none
+    _factors: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self._adopt(np.array(self.elements, dtype=complex, order="C"))
+
+    def _adopt(self, arr: np.ndarray) -> None:
+        """Check the header and take arr, a complex C-ordered array, as the elements."""
         for name in ("d", "dprime", "k"):
             object.__setattr__(self, name, _require_int(name, getattr(self, name)))
         if not isinstance(self.label, str):
@@ -78,7 +87,6 @@ class BasisFamily:
             raise ValueError(
                 f"k must sit in [1, {min(self.d, self.dprime)}], got {self.k}"
             )
-        arr = np.array(self.elements, dtype=complex, order="C")
         want = (self.d * self.dprime, self.d, self.dprime)
         if arr.shape != want:
             raise ShapeMismatch(f"expected elements of shape {want}, got {arr.shape}")
@@ -141,6 +149,37 @@ class FamilySet:
         return iter(self.families)
 
 
+def _product(d: int, dprime: int, k: int, elements: np.ndarray, label: str,
+             factors: tuple[BasisFamily, BasisFamily]) -> BasisFamily:
+    """The family of kron products of factors' elements; takes over the fresh array."""
+    fam = object.__new__(BasisFamily)
+    for name, value in (("d", d), ("dprime", dprime), ("k", k), ("label", label),
+                        ("_factors", factors)):
+        object.__setattr__(fam, name, value)
+    fam._adopt(np.asarray(elements, dtype=complex, order="C"))
+    return fam
+
+
+def _gram(f: BasisFamily, g: BasisFamily) -> np.ndarray:
+    """Tr(f[a]^dagger g[b]) for all a, b; for two products of like factors, the kron of theirs."""
+    if f._factors and g._factors and all(
+        (a.d, a.dprime) == (b.d, b.dprime) for a, b in zip(f._factors, g._factors)
+    ):
+        return np.kron(*(_gram(a, b) for a, b in zip(f._factors, g._factors)))
+    return _overlap_gram(f.elements, g.elements)
+
+
+def _spectrum(f: BasisFamily) -> np.ndarray:
+    """Each element's singular values, descending; a product's are its factors' products."""
+    if not f._factors:
+        return stacked_singular_values(f.elements)
+    a, b = (_spectrum(x) for x in f._factors)
+    sv = np.zeros((len(f), min(f.d, f.dprime)))
+    prods = (a[:, None, :, None] * b[None, :, None, :]).reshape(len(f), -1)
+    sv[:, : prods.shape[1]] = np.sort(prods, axis=1)[:, ::-1]
+    return sv
+
+
 def _overlap_gram(e: np.ndarray, f: np.ndarray) -> np.ndarray:
     """All Hilbert-Schmidt inner products Tr(e[a]^dagger f[b]) as one ZGEMM.
 
@@ -190,11 +229,10 @@ def check_sebk(family: BasisFamily, tol: float = 1e-9) -> VerificationReport:
     family must be the identity, both within tol.
     """
     _check_tol(tol)
-    el = family.elements
-    n = el.shape[0]
+    n = len(family)
     small = min(family.d, family.dprime)
 
-    sv = stacked_singular_values(el)
+    sv = _spectrum(family)
     target = np.zeros(small)
     target[: family.k] = 1.0 / np.sqrt(family.k)
     sv_dev = np.abs(sv - target)
@@ -202,7 +240,7 @@ def check_sebk(family: BasisFamily, tol: float = 1e-9) -> VerificationReport:
     worst_sv = np.arange(small) == sv_dev.argmax(axis=1)[:, None]
     spectrum = _entries(np.where(worst_sv, sv_dev, 0.0), sv, tol, n, (0, 0))
 
-    gram = _overlap_gram(el, el)
+    gram = _gram(family, family)
     orthonormality = _entries(np.abs(gram - np.eye(n)), gram, tol, n * n, (0, 0))
     return _merge([(0, 0, spectrum), (0, 0, orthonormality)])
 
@@ -217,7 +255,7 @@ def check_mu_pair(
             f"cannot compare bases of ({f.d}, {f.dprime}) with ({g.d}, {g.dprime})"
         )
     target = 1.0 / np.sqrt(f.d * f.dprime)
-    mags = np.abs(_overlap_gram(f.elements, g.elements))
+    mags = np.abs(_gram(f, g))
     return _entries(np.abs(mags - target), mags, tol, len(f) * len(f), (0, 1))
 
 

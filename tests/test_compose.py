@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import re
 import tracemalloc
 
@@ -339,3 +340,21 @@ def test_mub_composite_matches_the_kron_reference(q):
     got_report, ref_report = check_museb_set(got), check_museb_set(ref)
     assert got_report.passed == ref_report.passed
     assert abs(got_report.worst_violation - ref_report.worst_violation) <= q * ulp
+
+
+def test_tensor_families_takes_over_its_fresh_product_array():
+    s, t = compose._known_set(6, 6), compose._known_set(4, 4)
+    tracemalloc.start()
+    try:
+        out = tensor_families(s, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = sum(fam.elements.nbytes for fam in out)
+    assert result == 15_925_248
+    # a second copy of any one family would add a third of the result
+    assert peak <= 1.1 * result
+    assert all(fam.elements.flags.c_contiguous and not fam.elements.flags.writeable
+               for fam in out)
+    digest = hashlib.sha256(b"".join(fam.elements.tobytes() for fam in out)).hexdigest()
+    assert digest == "a78aa458489c7ccae88abb88e73c13190eb33761b1312250679760ae3653d96c"

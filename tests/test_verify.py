@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import inspect
 import itertools
 
 import numpy as np
@@ -27,15 +29,18 @@ from museb import (
     dephased_obstruction,
     is_chm,
     is_unitary,
+    load_family_set,
+    mub_composite,
     mub_prime,
     run_recipe,
+    save_family_set,
     schmidt_number,
     tensor_families,
     theorem2_reproduce,
     transpose_family,
     weyl_meb,
 )
-from museb import verify
+from museb import compose, verify
 
 EPS = np.finfo(float).eps
 
@@ -499,3 +504,178 @@ def test_failure_reports_are_pinned(name):
     assert rep.passed is False
     assert rep.checks_run == checks
     assert [o[:4] for o in rep.offenders] == offenders
+
+
+# --------------------------------------------- products certified through their factors
+
+def dense_copy(fs):
+    # the same elements rebuilt with no recorded factors: the dense oracle
+    return with_families(fs, lambda f: f.elements)
+
+
+def orthonormal_family(rng, d, dprime, kind):
+    n = d * dprime
+    if kind == "generic":
+        q, _ = np.linalg.qr(random_stack(rng, 1, n, n)[0])
+        elements = q.T.reshape(n, d, dprime)
+    else:  # a local product basis: every element has rank one
+        u, _ = np.linalg.qr(random_stack(rng, 1, d, d)[0])
+        v, _ = np.linalg.qr(random_stack(rng, 1, dprime, dprime)[0])
+        elements = np.einsum("ia,jb->abij", u, v).reshape(n, d, dprime)
+    return BasisFamily(d, dprime, 1, elements)
+
+
+def factors_of(fs, side):
+    return FamilySet(tuple(f._factors[side] for f in fs))
+
+
+def scaled_factor(fs):
+    # the product again, one element of its left factor scaled by 1.001
+    left = factors_of(fs, 0)
+    return tensor_families(scaled(left, len(left) - 1, len(left[-1]) // 2, 1.001),
+                           factors_of(fs, 1))
+
+
+ORACLE_TOLS = [0.0, 1e-16, 1e-15, 1e-9]
+
+
+def assert_matches_dense(fs, tol, verdict_always=True):
+    got = check_museb_set(fs, tol)
+    want = check_museb_set(dense_copy(fs), tol)
+    bound = fs.d * fs.dprime * 2.0**-52
+    assert got.checks_run == want.checks_run
+    assert abs(got.worst_violation - want.worst_violation) <= bound
+    # a worst violation within rounding of tol (say an exact 0 against a
+    # dense 1e-16 at tol 0) gets its verdict from rounding alone
+    if verdict_always or abs(want.worst_violation - tol) > bound:
+        assert got.passed == want.passed
+    # below 1e-9 which rounding-level entries exceed tol, and which of equal
+    # singular values deviates most, is decided by rounding; at 1e-9 every
+    # deviation is either rounding-level or far from tol
+    if tol == 1e-9:
+        assert [o[:4] for o in got.offenders] == [o[:4] for o in want.offenders]
+
+
+leaf_specs = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+                       st.sampled_from(["generic", "rank_one"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), leaves=st.lists(leaf_specs, min_size=2, max_size=3),
+       nest_left=st.booleans(), strip_first=st.booleans(),
+       tol=st.sampled_from(ORACLE_TOLS))
+def test_factored_report_matches_the_dense_report(seed, leaves, nest_left, strip_first, tol):
+    rng = np.random.default_rng(seed)
+    sets = [FamilySet(tuple(orthonormal_family(rng, d, dprime, kind) for _ in range(count)))
+            for d, dprime, count, kind in leaves]
+    if len(sets) == 2:
+        fs = tensor_families(*sets)
+    elif nest_left:  # ((a b) c), as example1 nests its factors
+        fs = tensor_families(tensor_families(sets[0], sets[1]), sets[2])
+    else:
+        fs = tensor_families(sets[0], tensor_families(sets[1], sets[2]))
+    if strip_first:  # one family certified densely beside factored ones
+        fs = FamilySet((dense_copy(fs)[0],) + fs.families[1:])
+    assert_matches_dense(fs, tol, verdict_always=False)
+
+
+@pytest.mark.parametrize("tol", ORACLE_TOLS)
+@pytest.mark.parametrize("variant", ["as_built", "scaled_factor"])
+@pytest.mark.parametrize("name", [f"{n}{sorted(p.items())}" for n, p in RECIPE_CASES])
+def test_recipe_reports_match_the_dense_reports(name, variant, tol):
+    fs = regression_set(name)
+    assert all(f._factors for f in fs)
+    assert_matches_dense(scaled_factor(fs) if variant == "scaled_factor" else fs, tol)
+
+
+def test_product_spectrum_sorts_the_zeros_of_a_rank_deficient_factor_last():
+    # each element of the right factor has singular values (1, 0), so the
+    # products come out as (r, 0, r, 0) before the sort
+    rank_one = FamilySet((BasisFamily(2, 2, 1, np.eye(4).reshape(4, 2, 2)),))
+    fam = tensor_families(FamilySet((catalog("R1"),)), rank_one)[0]
+    dense = verify.stacked_singular_values(fam.elements)
+    assert np.all(np.abs(verify._spectrum(fam) - dense) <= 4 * EPS)
+    assert check_sebk(fam, 1e-15).passed
+
+
+def recorded_grams(monkeypatch):
+    shapes = []
+
+    def recording(e, f):
+        shapes.append((len(e), len(f)))
+        return einsum_gram(e, f)
+
+    monkeypatch.setattr(verify, "_overlap_gram", recording)
+    return shapes
+
+
+def test_product_certifies_without_forming_its_grams(monkeypatch):
+    # C^4 (x) C^6 factors with no factors of their own, as perfbench's grow_c24 has
+    fs = tensor_families(dense_copy(compose._known_set(4, 4)),
+                         dense_copy(compose._known_set(6, 6)))
+    svd_shapes = []
+
+    def recording_svd(stack):
+        svd_shapes.append(stack.shape)
+        return stacked_svd(stack)
+
+    stacked_svd = verify.stacked_singular_values
+    monkeypatch.setattr(verify, "stacked_singular_values", recording_svd)
+    shapes = recorded_grams(monkeypatch)
+    assert check_museb_set(fs).passed
+    assert shapes and max(max(s) for s in shapes) <= 36
+    assert svd_shapes and max(s[0] for s in svd_shapes) <= 36
+
+
+def prod_family():
+    return tensor_families(FamilySet((catalog("R1"),)), FamilySet((catalog("R2"),)))[0]
+
+
+def test_factors_do_not_outlive_their_elements(tmp_path):
+    prod = prod_family()
+    assert [f.label for f in prod._factors] == ["R1", "R2"]
+    prod_set = FamilySet((prod,))
+    rebuilt = [
+        dataclasses.replace(prod),
+        dataclasses.replace(prod, label="relabelled"),
+        BasisFamily(prod.d, prod.dprime, prod.k, prod.elements, prod.label),
+        *transpose_family(prod_set),
+        *mub_composite(6),  # a fold of products, relabelled by replace
+    ]
+    save_family_set(prod_set, tmp_path / "prod.json")
+    rebuilt += load_family_set(tmp_path / "prod.json").families
+    assert all(fam._factors == () for fam in rebuilt)
+    assert all(fam._factors == () for fam in (catalog("R1"), mub_prime(5)[0]))
+
+
+def test_unmatched_factors_fall_back_to_the_dense_gram(monkeypatch):
+    r = FamilySet((catalog("R1"),))
+    rt = transpose_family(r)
+    # both in C^6 (x) C^6 with Schmidt rank 4, factored as (2,3)(x)(3,2) and (3,2)(x)(2,3)
+    f, g = tensor_families(r, rt)[0], tensor_families(rt, r)[0]
+    for a, b in [(f, g), (f, dense_copy(FamilySet((f,)))[0]), (dense_copy(FamilySet((f,)))[0], f)]:
+        shapes = recorded_grams(monkeypatch)
+        verify._gram(a, b)
+        assert shapes == [(36, 36)]
+    monkeypatch.undo()
+    want = check_mu_pair(*dense_copy(FamilySet((f, g))))
+    assert check_mu_pair(f, g) == want
+
+
+def test_basis_family_surface_is_unchanged():
+    assert list(inspect.signature(BasisFamily).parameters) == [
+        "d", "dprime", "k", "elements", "label"]
+    fields = dataclasses.fields(BasisFamily)
+    public = ["d", "dprime", "k", "elements", "label"]
+    assert [f.name for f in fields if f.compare] == public
+    assert [f.name for f in fields if f.repr] == public
+    prod = prod_family()
+    assert repr(prod) == repr(dense_copy(FamilySet((prod,)))[0])
+
+
+def test_public_constructor_still_copies_caller_arrays():
+    arr = weyl_meb(2, 3).elements.copy()
+    fam = BasisFamily(2, 3, 2, arr)
+    assert not np.shares_memory(fam.elements, arr)
+    arr[0] = 0
+    assert np.array_equal(fam.elements, weyl_meb(2, 3).elements)
