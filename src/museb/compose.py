@@ -6,8 +6,10 @@ tensoring elements pairwise gives mutually unbiased rank-(k1 k2) bases of
 C^(dp) (x) C^(d'q), one for each aligned pair of input families.  Singular
 values and overlaps multiply across the Kronecker product, which is what
 makes the count, the rank, and the unbiasedness all survive.
-tensor_families is the package's one Kronecker kernel: the composite
-built-in sets are left folds of it over prime-dimension sets.
+verify._product, which builds a product family from its two factors, is
+the package's one Kronecker kernel, and tensor_families its public
+pairwise fold: the composite built-in sets are left folds of
+tensor_families over prime-dimension sets.
 
 run_recipe packages named applications of this rule, called by name with
 its parameters as keywords: run_recipe("theorem3", d=2, dprime=3, p=3, q=3).
@@ -55,24 +57,7 @@ def tensor_families(s: FamilySet, t: FamilySet) -> FamilySet:
     """
     if len(s) == 0 or len(t) == 0:
         raise EmptyInput("tensor_families needs at least one family on each side")
-    count = min(len(s), len(t))
-    d, dp = s.d * t.d, s.dprime * t.dprime
-    k = s.k * t.k
-    families = []
-    for i in range(count):
-        left = s[i].elements
-        right = t[i].elements
-        prod = np.einsum("aij,bkl->abikjl", left, right)
-        elements = prod.reshape(len(s[i]) * len(t[i]), d, dp)
-        label = _join_labels(s[i].label, t[i].label)
-        families.append(_product(d, dp, k, elements, label, (s[i], t[i])))
-    return FamilySet(tuple(families))
-
-
-def _join_labels(a: str, b: str) -> str:
-    if a and b:
-        return f"{a}*{b}"
-    return a or b
+    return FamilySet(tuple(map(_product, s, t)))
 
 
 def transpose_family(s: FamilySet) -> FamilySet:
@@ -192,10 +177,10 @@ def run_recipe(name: str, /, tol: float = 1e-9, **parameters: int) -> FamilySet:
     """Assemble a named composition and certify it before returning.
 
     Raises ValueError unless the recipe gets each of its parameters, and no
-    other, as a positive int (never a bool); UnsupportedParameters when it
-    would need an ingredient this package does not build; VerificationFailed
-    if an assembled set does not certify at tol, which at the default tol is
-    a bug, not bad input.
+    other, as a positive Python or numpy integer (never a bool);
+    UnsupportedParameters when it would need an ingredient this package does
+    not build; VerificationFailed if an assembled set does not certify at
+    tol, which at the default tol is a bug, not bad input.
     """
     _check_tol(tol)
     try:
@@ -211,8 +196,10 @@ def run_recipe(name: str, /, tol: float = 1e-9, **parameters: int) -> FamilySet:
     missing = [n for n in names if n not in params]
     if missing:
         raise ValueError(f"recipe {name!r} is missing parameters {missing}")
-    bad = {n: params[n] for n in names if type(params[n]) is not int or params[n] < 1}
+    # the museb-1 header's rule: a Python or numpy integer, never a bool, passed on as an int
+    bad = {n: params[n] for n in names if isinstance(params[n], bool)
+           or not isinstance(params[n], (int, np.integer)) or params[n] < 1}
     if bad:
         raise ValueError(f"recipe {name!r} needs positive integer parameters, got {bad}")
-    tree = recipe(*(params[n] for n in names))
+    tree = recipe(*(int(params[n]) for n in names))
     return _certified(_build(tree, tol), f"recipe {name!r} output", tol)

@@ -241,13 +241,6 @@ def closure_sweep(pairs: int, seed: int = 0, tol: float = 1e-9) -> ClosureSweep:
     return ClosureSweep(pairs=pairs, failures=failures)
 
 
-def _haar_unitary(rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 def _expm_skew2(a, b, d) -> np.ndarray:
     """exp of each anti-Hermitian 2x2 matrix [[i a, b], [-conj(b), i d]].
 
@@ -293,7 +286,11 @@ def _walk(rngs: list[np.random.Generator], iterations: int, kernel: np.ndarray):
     nonincreasing.  Every 64th accept of a restart replaces its mixer by
     the polar factor, shedding accumulated rounding drift.
     """
-    w = np.stack([_haar_unitary(rng) for rng in rngs])
+    # Haar starts: each rng draws its own Gaussian, then one QR for the stack
+    q, r = np.linalg.qr(np.stack([rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                                  for rng in rngs]))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    w = q * (d / np.abs(d))[:, None, :]
     cost = _penalties(w, kernel)
     accepted = np.zeros(len(rngs), dtype=np.int64)
     for start in range(0, iterations, _ITER_BLOCK):

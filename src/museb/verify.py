@@ -68,8 +68,8 @@ class BasisFamily:
     k: int
     elements: np.ndarray
     label: str = ""
-    # (left, right) when the elements are tensor_families' kron of these two
-    # families; set only by _product, so a rebuilt or replaced family has none
+    # (left, right) when _product formed the elements from these two families;
+    # set only there, so a rebuilt or replaced family has none
     _factors: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -94,6 +94,14 @@ class BasisFamily:
             raise ValueError("elements must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "elements", arr)
+
+    def __eq__(self, other) -> bool:
+        # by value: the header and the elements' entries, never the factors
+        if not isinstance(other, BasisFamily):
+            return NotImplemented
+        return ((self.d, self.dprime, self.k, self.label)
+                == (other.d, other.dprime, other.k, other.label)
+                and np.array_equal(self.elements, other.elements))
 
     def __len__(self) -> int:
         return self.elements.shape[0]
@@ -149,14 +157,19 @@ class FamilySet:
         return iter(self.families)
 
 
-def _product(d: int, dprime: int, k: int, elements: np.ndarray, label: str,
-             factors: tuple[BasisFamily, BasisFamily]) -> BasisFamily:
-    """The family of kron products of factors' elements; takes over the fresh array."""
+def _product(left: BasisFamily, right: BasisFamily) -> BasisFamily:
+    """The family of kron(left[a], right[b]) at index a * len(right) + b.
+
+    The package's one Kronecker layout, which _gram and _spectrum read back.
+    The label is "a*b", or whichever is non-empty; the fresh array is taken over.
+    """
     fam = object.__new__(BasisFamily)
-    for name, value in (("d", d), ("dprime", dprime), ("k", k), ("label", label),
-                        ("_factors", factors)):
+    for name, value in (("d", left.d * right.d), ("dprime", left.dprime * right.dprime),
+                        ("k", left.k * right.k), ("_factors", (left, right)),
+                        ("label", "*".join(filter(None, (left.label, right.label))))):
         object.__setattr__(fam, name, value)
-    fam._adopt(np.asarray(elements, dtype=complex, order="C"))
+    prod = np.einsum("aij,bkl->abikjl", left.elements, right.elements)
+    fam._adopt(prod.reshape(len(left) * len(right), fam.d, fam.dprime))
     return fam
 
 

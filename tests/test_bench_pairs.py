@@ -91,3 +91,51 @@ def test_workload_record_has_the_keys_of_earlier_records():
     assert got["attempted_ops"] == {"parent": 1000, "change": 1000}
     assert got["per_pair_op_s_p50"]["17201"] == [0.056, 0.014]
     assert got["first_in_pair"]["17202"] == "change"
+
+
+def test_verdict_is_worse_beyond_the_bound_in_either_direction():
+    # medians 0.056 -> 0.0705: 26% slower against a bound of 25%
+    slower = [p * 1.26 for p in PARENT]
+    assert bench_pairs.verdict(PARENT, slower, "lower", 0.25) == "worse"
+    assert bench_pairs.verdict(PARENT, slower, "lower", 0.3) == "no_worse"
+    # for a rate, the change is worse when it is lower
+    fewer = [p * 0.74 for p in PARENT]
+    assert bench_pairs.verdict(PARENT, fewer, "higher", 0.25) == "worse"
+    assert bench_pairs.verdict(PARENT, fewer, "lower", 0.25) == "no_worse"
+    assert bench_pairs.verdict(PARENT, slower, "higher", 0.25) == "no_worse"
+
+
+def test_verdict_is_unresolved_when_the_parent_spreads_beyond_the_bound():
+    wide = [1.0, 1.0, 1.0, 0.6, 1.4, 0.6, 1.4, 0.6, 1.4, 1.0]  # (q3 - q1) / median = 0.8
+    same = list(wide)
+    assert bench_pairs.verdict(wide, same, "lower", 0.25) == "unresolved"
+    assert bench_pairs.verdict(wide, same, "higher", 0.25) == "unresolved"
+    assert bench_pairs.verdict(wide, same, "lower", 0.9) == "no_worse"
+    # unless every change run beats every parent run
+    assert bench_pairs.verdict(wide, [0.5] * 10, "lower", 0.25) == "no_worse"
+    assert bench_pairs.verdict(wide, [1.5] * 10, "higher", 0.25) == "no_worse"
+    # one change run that does not beat the slowest parent run leaves it open
+    assert bench_pairs.verdict(wide, [0.5] * 9 + [0.6], "lower", 0.25) == "unresolved"
+    # a loss beyond the bound is worse whatever the spread
+    assert bench_pairs.verdict(wide, [1.4] * 10, "lower", 0.25) == "worse"
+
+
+def test_verdict_is_decided_on_unrounded_values():
+    # to four decimals both medians read 0.0101; unrounded the change is
+    # slower by 0.000003, more than a bound of 0.0002 of the parent's median
+    parent = [0.01005] * 3 + [0.01006] * 4 + [0.01012] * 3
+    change = [p + 0.000003 for p in parent]
+    assert bench_pairs.summarize(change)["median"] == bench_pairs.summarize(parent)["median"]
+    assert bench_pairs.verdict(parent, change, "lower", 0.0002) == "worse"
+    # the parent's unrounded spread, 0.0052, exceeds a bound of 0.005
+    assert bench_pairs.verdict(parent, parent, "lower", 0.005) == "unresolved"
+    assert bench_pairs.verdict(parent, parent, "lower", 0.0053) == "no_worse"
+
+
+def test_workload_record_gives_each_bounded_metric_a_verdict():
+    bounded = [dict(m, bound=0.25) for m in METRICS]
+    runs = [(17201 + i, "parent", _run(PARENT[i], 39.6), _run(PARENT[i] * 1.3, 39.7))
+            for i in range(10)]
+    got = bench_pairs.workload_record(runs, bounded)
+    assert got["op_s_p50"]["verdict"] == "worse"
+    assert got["peak_rss_mb"]["verdict"] == "no_worse"

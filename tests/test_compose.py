@@ -229,6 +229,16 @@ def test_recipe_parameters_must_be_ints(spec):
         run_recipe(name, **params)
 
 
+def test_recipe_takes_numpy_integers_as_the_header_does():
+    got = run_recipe("theorem3", d=np.int64(2), dprime=3, p=np.int32(2), q=np.uint8(2))
+    assert got == run_recipe("theorem3", d=2, dprime=3, p=2, q=2)
+    assert [fam.label for fam in got] == ["R1*frame0", "R2*frame1"]
+    with pytest.raises(ValueError, match="positive integer parameters"):
+        run_recipe("cor21k_seb2", k=np.bool_(True))
+    with pytest.raises(ValueError, match="positive integer parameters"):
+        run_recipe("cor21k_seb2", k=np.int64(0))
+
+
 def test_recipe_out_of_scope_parameters_are_refused_loudly():
     with pytest.raises(UnsupportedParameters) as exc:
         run_recipe("theorem3", d=5, dprime=5, p=1, q=2)

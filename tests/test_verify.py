@@ -679,3 +679,43 @@ def test_public_constructor_still_copies_caller_arrays():
     assert not np.shares_memory(fam.elements, arr)
     arr[0] = 0
     assert np.array_equal(fam.elements, weyl_meb(2, 3).elements)
+
+
+def test_basis_family_equality_is_by_value():
+    r1 = catalog("R1")
+    assert r1 == catalog("R1")
+    assert not r1 != catalog("R1")
+    assert r1 != catalog("R2")
+    assert r1 != dataclasses.replace(r1, label="R1'")
+    assert r1 != BasisFamily(r1.d, r1.dprime, r1.k, 1.001 * r1.elements, r1.label)
+    assert r1 != "R1"
+    with pytest.raises(TypeError):
+        hash(r1)
+
+
+def test_product_equals_its_rebuilt_dense_copy():
+    prod = prod_family()
+    dense = dense_copy(FamilySet((prod,)))[0]
+    assert prod._factors and not dense._factors
+    assert prod == dense  # the recorded factors do not count
+
+
+def test_family_set_equality_compares_its_families():
+    pair = FamilySet((catalog("R1"), catalog("R2")))
+    assert pair == FamilySet((catalog("R1"), catalog("R2")))
+    assert pair != FamilySet((catalog("R2"), catalog("R1")))
+    assert pair != FamilySet((catalog("R1"),))
+
+
+def test_product_is_determined_by_its_two_factors():
+    left, right = catalog("R1"), mub_prime(3)[1]
+    fam = verify._product(left, right)
+    assert (fam.d, fam.dprime, fam.k) == (2, 9, 2)
+    assert fam.label == "R1*" + right.label
+    assert fam._factors == (left, right)
+    a, b = 4, 2
+    assert np.allclose(fam[a * len(right) + b], np.kron(left[a], right[b]), rtol=0, atol=EPS)
+    unlabelled = dataclasses.replace(right, label="")
+    assert verify._product(left, unlabelled).label == "R1"
+    assert verify._product(unlabelled, left).label == "R1"
+    assert verify._product(unlabelled, unlabelled).label == ""

@@ -16,8 +16,10 @@ workloads are interleaved so drift in the machine's speed reaches every
 workload and both sides alike.  Pair i of workload j uses seed
 1000 * pr + 100 * j + i + 1.  The medians, quartiles and spreads of each
 end-to-end metric, the count of pairs in which the change came out better,
-and the failed and attempted ops of each side are written to
-``BENCH_<pr>.json`` at the root of the repository.
+the verdict on whether the change made the metric worse (``worse``,
+``unresolved`` or ``no_worse``, against the metric's bound in
+BENCHMARK.json), and the failed and attempted ops of each side are written
+to ``BENCH_<pr>.json`` at the root of the repository.
 """
 
 from __future__ import annotations
@@ -65,6 +67,25 @@ def claim_holds(parent, change, better: str = "lower") -> bool:
     gain = p_median - c_median if better == "lower" else c_median - p_median
     share = better_in_pairs(parent, change, better) / len(parent)
     return share >= CLAIM_SHARE and gain > p_q3 - p_q1
+
+
+def verdict(parent, change, better: str, bound: float) -> str:
+    """Whether the change made a metric worse, decided on the unrounded values.
+
+    "worse" when the change's median is worse than the parent's by more than
+    bound, a fraction of the parent's median; otherwise "unresolved" when the
+    parent's spread (q3 - q1) / median exceeds bound, unless every change run
+    beats every parent run; otherwise "no_worse".
+    """
+    p_q1, p_median, p_q3 = _quartiles(parent)
+    c_median = _quartiles(change)[1]
+    loss = c_median - p_median if better == "lower" else p_median - c_median
+    if loss > bound * p_median:
+        return "worse"
+    beats_all = max(change) < min(parent) if better == "lower" else min(change) > max(parent)
+    if (p_q3 - p_q1) / p_median > bound and not beats_all:
+        return "unresolved"
+    return "no_worse"
 
 
 def parent_first(pair: int, workload: int) -> bool:
@@ -115,6 +136,8 @@ def workload_record(runs: list[tuple[int, str, dict, dict]], metrics: list[dict]
             f"change_{m['better']}_in_pairs":
                 f"{better_in_pairs(parent, change, m['better'])}/{len(runs)}",
         }
+        if "bound" in m:  # every end-to-end metric of BENCHMARK.json has one
+            record[m["name"]]["verdict"] = verdict(parent, change, m["better"], m["bound"])
     for key in ("failed", "attempted"):
         record[f"{key}_ops"] = {"parent": sum(p[key] for _, _, p, _ in runs),
                                 "change": sum(c[key] for _, _, _, c in runs)}
@@ -196,6 +219,9 @@ def main(argv: list[str] | None = None) -> int:
     out["end_to_end"] = {w: workload_record(runs[w], metrics) for w in workloads}
     target = root / f"BENCH_{args.pr}.json"
     target.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
+    for w in workloads:
+        print(w, " ".join(f"{m['name']}={out['end_to_end'][w][m['name']]['verdict']}"
+                          for m in metrics))
     print(f"wrote {target}")
     return 0
 
