@@ -7,8 +7,8 @@ rest zero.  Two such bases are mutually unbiased when every cross overlap
 has magnitude 1/sqrt(d d').  The checks below certify these properties to
 explicit tolerances and report the worst violation seen, so a failed check
 is as informative as a passed one.  A family built by tensor_families is
-certified through its factors: its Gram is the kron of theirs and its
-singular values are products of theirs, O((dd')^2) per pair instead of O((dd')^3).
+certified through its factors: its overlap moduli are products of theirs and
+so are its singular values, so a passed check forms no product-sized array.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ class FamilySet:
 def _product(left: BasisFamily, right: BasisFamily) -> BasisFamily:
     """The family of kron(left[a], right[b]) at index a * len(right) + b.
 
-    The package's one Kronecker layout, which _gram and _spectrum read back.
+    The package's one Kronecker layout, which _magnitudes, _self and _spectrum read back.
     The label is "a*b", or whichever is non-empty; the fresh array is taken over.
     """
     fam = object.__new__(BasisFamily)
@@ -173,13 +173,41 @@ def _product(left: BasisFamily, right: BasisFamily) -> BasisFamily:
     return fam
 
 
-def _gram(f: BasisFamily, g: BasisFamily) -> np.ndarray:
-    """Tr(f[a]^dagger g[b]) for all a, b; for two products of like factors, the kron of theirs."""
-    if f._factors and g._factors and all(
-        (a.d, a.dprime) == (b.d, b.dprime) for a, b in zip(f._factors, g._factors)
-    ):
-        return np.kron(*(_gram(a, b) for a, b in zip(f._factors, g._factors)))
-    return _overlap_gram(f.elements, g.elements)
+def _like(f: BasisFamily, g: BasisFamily) -> tuple:
+    """The factor pairs of f and g when both are products of like factors, else ()."""
+    pairs = tuple(zip(f._factors, g._factors))
+    return pairs if all((a.d, a.dprime) == (b.d, b.dprime) for a, b in pairs) else ()
+
+
+def _magnitudes(f: BasisFamily, g: BasisFamily) -> np.ndarray:
+    """|Tr(f[a]^dagger g[b])| for all a, b; for products of like factors, the kron of theirs."""
+    if pairs := _like(f, g):
+        return np.kron(*(_magnitudes(a, b) for a, b in pairs))
+    return np.abs(_overlap_gram(f.elements, g.elements))
+
+
+def _extremes(f: BasisFamily, g: BasisFamily) -> tuple:
+    """(min, max) of _magnitudes(f, g), exactly: rounded products of non-negative doubles
+    are monotone, so a product's are the products of its factors' extremes."""
+    if pairs := _like(f, g):
+        (lo_a, hi_a), (lo_b, hi_b) = (_extremes(a, b) for a, b in pairs)
+        return lo_a * lo_b, hi_a * hi_b
+    mags = _magnitudes(f, g)
+    return mags.min(), mags.max()
+
+
+def _self(f: BasisFamily) -> tuple:
+    """Tr(f[a]^dagger f[a]) per a, and the max of _magnitudes(f, f) off and on the diagonal."""
+    if f._factors:
+        (diag_a, off_a, on_a), (diag_b, off_b, on_b) = map(_self, f._factors)
+        # np.maximum keeps a NaN, where max() may drop it
+        off = np.maximum(off_a * np.maximum(off_b, on_b), on_a * off_b)
+        return np.outer(diag_a, diag_b).ravel(), off, on_a * on_b
+    gram = _overlap_gram(f.elements, f.elements)
+    mags = np.abs(gram)
+    on = mags.diagonal().max()
+    np.fill_diagonal(mags, 0.0)
+    return gram.diagonal().copy(), mags.max(), on
 
 
 def _spectrum(f: BasisFamily) -> np.ndarray:
@@ -212,15 +240,22 @@ def schmidt_number(a, tol: float = 1e-9) -> int:
 
 def _entries(dev: np.ndarray, measured: np.ndarray, tol: float, checks: int,
              pair: tuple[int, int]) -> VerificationReport:
-    """One stage: entries whose dev exceeds tol offend, in row-major order, capped."""
-    worst = float(dev.max(initial=0.0))
+    """One stage from its entrywise deviations dev and the values measured."""
+    return _stage(dev.max(initial=0.0), lambda: measured, lambda _: dev, tol, checks, pair)
+
+
+def _stage(worst, measure, deviation, tol: float, checks: int, pair: tuple) -> VerificationReport:
+    """One stage: if worst fails, the entries of measure() whose deviation exceeds
+    tol offend, in row-major order, capped."""
+    worst = float(worst)
     if worst <= tol:  # a passed stage has no offenders; a NaN worst fails here
         return VerificationReport(True, worst, (), checks)
+    measured = measure()
     offenders = tuple(
         (*pair, int(i), int(j), float(np.abs(measured[i, j])))
-        for i, j in np.argwhere(dev > tol)[:MAX_OFFENDERS]
+        for i, j in np.argwhere(deviation(measured) > tol)[:MAX_OFFENDERS]
     )
-    return VerificationReport(worst <= tol, worst, offenders, checks)
+    return VerificationReport(False, worst, offenders, checks)
 
 
 def _merge(parts: list[tuple[int, int, VerificationReport]]) -> VerificationReport:
@@ -253,8 +288,11 @@ def check_sebk(family: BasisFamily, tol: float = 1e-9) -> VerificationReport:
     worst_sv = np.arange(small) == sv_dev.argmax(axis=1)[:, None]
     spectrum = _entries(np.where(worst_sv, sv_dev, 0.0), sv, tol, n, (0, 0))
 
-    gram = _gram(family, family)
-    orthonormality = _entries(np.abs(gram - np.eye(n)), gram, tol, n * n, (0, 0))
+    diag, off, _ = _self(family)
+    diag_dev = np.abs(diag - 1)
+    orthonormality = _stage(np.maximum(off, diag_dev.max()), lambda: _magnitudes(family, family),
+                            lambda mags: np.where(np.eye(n, dtype=bool), diag_dev, mags),
+                            tol, n * n, (0, 0))
     return _merge([(0, 0, spectrum), (0, 0, orthonormality)])
 
 
@@ -268,8 +306,10 @@ def check_mu_pair(
             f"cannot compare bases of ({f.d}, {f.dprime}) with ({g.d}, {g.dprime})"
         )
     target = 1.0 / np.sqrt(f.d * f.dprime)
-    mags = np.abs(_gram(f, g))
-    return _entries(np.abs(mags - target), mags, tol, len(f) * len(f), (0, 1))
+    lo, hi = _extremes(f, g)
+    # fl(m - target) is monotone in m, so the worst deviation sits at an extreme
+    return _stage(np.maximum(abs(lo - target), abs(hi - target)), lambda: _magnitudes(f, g),
+                  lambda mags: np.abs(mags - target), tol, len(f) * len(f), (0, 1))
 
 
 def check_museb_set(s: FamilySet, tol: float = 1e-9) -> VerificationReport:

@@ -2,10 +2,11 @@ import dataclasses
 import functools
 import inspect
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from museb import (
@@ -539,10 +540,28 @@ def scaled_factor(fs):
 ORACLE_TOLS = [0.0, 1e-16, 1e-15, 1e-9]
 
 
+def leaf_families(fam):
+    # the families a product multiplies; none for a family certified densely
+    return [leaf for part in fam._factors for leaf in leaf_families(part) or [part]]
+
+
+def oracle_bound(fs):
+    # first order, for unit elements: a complex inner product of length n rounds within
+    # sqrt(2) gamma_(n+2) = 0.71 (n + 2) eps (Higham, section 3.6), a modulus or a real
+    # product within eps / 2, a complex product within sqrt(2) gamma_2 = 1.42 eps.  Against
+    # the exact overlaps of the stored leaves, a dense value of an L-leaf product errs by
+    # 0.71 (dd' + 2) + 0.5 for its ZGEMM and modulus plus 2 x 1.42 for each of the L - 1
+    # rounded products in its elements; a factored one by 0.71 (n_l + 2) + 0.5 for each
+    # leaf's Gram and modulus plus 1.42 for each of its L - 1 products.  The final
+    # deviations of both add 1.5 at most, and the sum stays below dd' + sum(n_l + 7).
+    return (fs.d * fs.dprime
+            + max(sum(leaf.d * leaf.dprime + 7 for leaf in leaf_families(f)) for f in fs)) * EPS
+
+
 def assert_matches_dense(fs, tol, verdict_always=True):
     got = check_museb_set(fs, tol)
     want = check_museb_set(dense_copy(fs), tol)
-    bound = fs.d * fs.dprime * 2.0**-52
+    bound = oracle_bound(fs)
     assert got.checks_run == want.checks_run
     assert abs(got.worst_violation - want.worst_violation) <= bound
     # a worst violation within rounding of tol (say an exact 0 against a
@@ -560,20 +579,32 @@ leaf_specs = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
                        st.sampled_from(["generic", "rank_one"]))
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), leaves=st.lists(leaf_specs, min_size=2, max_size=3),
-       nest_left=st.booleans(), strip_first=st.booleans(),
-       tol=st.sampled_from(ORACLE_TOLS))
-def test_factored_report_matches_the_dense_report(seed, leaves, nest_left, strip_first, tol):
+def random_product(seed, specs, nest_left):
     rng = np.random.default_rng(seed)
     sets = [FamilySet(tuple(orthonormal_family(rng, d, dprime, kind) for _ in range(count)))
-            for d, dprime, count, kind in leaves]
+            for d, dprime, count, kind in specs]
     if len(sets) == 2:
-        fs = tensor_families(*sets)
-    elif nest_left:  # ((a b) c), as example1 nests its factors
-        fs = tensor_families(tensor_families(sets[0], sets[1]), sets[2])
-    else:
-        fs = tensor_families(sets[0], tensor_families(sets[1], sets[2]))
+        return tensor_families(*sets)
+    if nest_left:  # ((a b) c), as example1 nests its factors
+        return tensor_families(tensor_families(sets[0], sets[1]), sets[2])
+    return tensor_families(sets[0], tensor_families(sets[1], sets[2]))
+
+
+product_specs = st.lists(leaf_specs, min_size=2, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), leaves=product_specs,
+       nest_left=st.booleans(), strip_first=st.booleans(),
+       tol=st.sampled_from(ORACLE_TOLS))
+# two products of random 1x1 families whose factored and dense worst violations
+# differ by 2 and 1.5 eps, more than the one eps of a bound of dd' eps alone
+@example(seed=129711803, leaves=[(1, 1, 1, "generic")] * 2, nest_left=False,
+         strip_first=False, tol=0.0)
+@example(seed=206, leaves=[(1, 1, 1, "generic")] * 2, nest_left=False,
+         strip_first=False, tol=0.0)
+def test_factored_report_matches_the_dense_report(seed, leaves, nest_left, strip_first, tol):
+    fs = random_product(seed, leaves, nest_left)
     if strip_first:  # one family certified densely beside factored ones
         fs = FamilySet((dense_copy(fs)[0],) + fs.families[1:])
     assert_matches_dense(fs, tol, verdict_always=False)
@@ -654,12 +685,73 @@ def test_unmatched_factors_fall_back_to_the_dense_gram(monkeypatch):
     # both in C^6 (x) C^6 with Schmidt rank 4, factored as (2,3)(x)(3,2) and (3,2)(x)(2,3)
     f, g = tensor_families(r, rt)[0], tensor_families(rt, r)[0]
     for a, b in [(f, g), (f, dense_copy(FamilySet((f,)))[0]), (dense_copy(FamilySet((f,)))[0], f)]:
-        shapes = recorded_grams(monkeypatch)
-        verify._gram(a, b)
-        assert shapes == [(36, 36)]
+        for rule in (verify._extremes, verify._magnitudes):
+            shapes = recorded_grams(monkeypatch)
+            rule(a, b)
+            assert shapes == [(36, 36)]
     monkeypatch.undo()
     want = check_mu_pair(*dense_copy(FamilySet((f, g))))
     assert check_mu_pair(f, g) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), specs=product_specs, nest_left=st.booleans())
+def test_factored_extremes_are_those_of_the_materialized_magnitudes(seed, specs, nest_left):
+    fs = random_product(seed, specs, nest_left)
+    for f, g in itertools.product(fs, repeat=2):
+        mags = verify._magnitudes(f, g)
+        assert verify._extremes(f, g) == (mags.min(), mags.max())
+    for f in fs:
+        mags = verify._magnitudes(f, f)
+        diag, off, on = verify._self(f)
+        assert off == np.where(np.eye(len(f), dtype=bool), 0.0, mags).max()
+        assert on == mags.diagonal().max()
+        # |fl(x y)| against fl(|x| |y|): 1.42 + 0.5 eps per product, eps / 2 per modulus
+        assert np.all(np.abs(np.abs(diag) - mags.diagonal()) <= 2 * len(specs) * EPS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       specs=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(2, 3),
+                                st.just("rank_one")), min_size=2, max_size=3),
+       nest_left=st.booleans(), which=st.integers(0, 2), at=st.integers(0, 2**32 - 1))
+def test_a_nan_in_any_factor_gram_fails_both_gram_stages(seed, specs, nest_left, which, at):
+    fs = random_product(seed, specs, nest_left)
+    factored = fs[0], fs[1]
+    dense = tuple(dense_copy(FamilySet(factored)))
+    for f, g in (factored, dense):
+        assert check_sebk(f).passed  # rank-one leaves make orthonormal SEB1s
+        poisoned = leaf_families(f)[which % len(specs)] if f._factors else f
+
+        def nan_gram(e, h):
+            gram = einsum_gram(e, h)
+            if e is poisoned.elements:
+                gram.flat[at % gram.size] = np.nan
+            return gram
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_overlap_gram", nan_gram)
+            pair = check_mu_pair(f, g)
+            assert not pair.passed and np.isnan(pair.worst_violation)
+            assert not check_sebk(f).passed
+
+
+@pytest.mark.parametrize("build, budget", [
+    # below one float64 array of the C^24 product's Gram shape, 576 x 576
+    (lambda: tensor_families(dense_copy(compose._known_set(4, 4)),
+                             dense_copy(compose._known_set(6, 6))), 576 * 576 * 8),
+    # 2 MB for C^36, where one 1296 x 1296 float64 array takes 13.4 MB
+    (lambda: run_recipe("theorem3", d=6, dprime=6, p=6, q=6), 2e6),
+])
+def test_product_certifies_in_memory_of_its_factors(build, budget):
+    fs = build()
+    tracemalloc.start()
+    try:
+        assert check_museb_set(fs).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget
 
 
 def test_basis_family_surface_is_unchanged():
