@@ -166,6 +166,8 @@ def _write_family_set(fs: FamilySet, fh: TextIO) -> None:
 
 def save_family_set(fs: FamilySet, path: str | os.PathLike) -> None:
     _header(fs)  # refuses an empty set before the file is created
+    for fam in fs:
+        fam.elements  # forms every product first, so a failed one leaves no partial file
     with open(path, "w", encoding="utf-8") as fh:
         _write_family_set(fs, fh)
 

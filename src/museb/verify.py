@@ -6,9 +6,10 @@ matrix form each element has k singular values equal to 1/sqrt(k) and the
 rest zero.  Two such bases are mutually unbiased when every cross overlap
 has magnitude 1/sqrt(d d').  The checks below certify these properties to
 explicit tolerances and report the worst violation seen, so a failed check
-is as informative as a passed one.  A family built by tensor_families is
-certified through its factors: its overlap moduli are products of theirs and
-so are its singular values, so a passed check forms no product-sized array.
+is as informative as a passed one.  A family built by tensor_families holds
+its two factors and forms its elements on first read.  It is certified
+through its factors: its overlap moduli are products of theirs and so are
+its singular values, so a passed check forms no product-sized array.
 """
 
 from __future__ import annotations
@@ -68,12 +69,22 @@ class BasisFamily:
     k: int
     elements: np.ndarray
     label: str = ""
-    # (left, right) when _product formed the elements from these two families;
-    # set only there, so a rebuilt or replaced family has none
+    # (left, right) when _product made this family from these two factors; set
+    # only there, so a rebuilt or replaced family has none
     _factors: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._adopt(np.array(self.elements, dtype=complex, order="C"))
+
+    def __getattr__(self, name: str):
+        # reached only while a product's elements are unformed: form them from
+        # its factors once, after which the cached array is a plain attribute
+        factors = self.__dict__.get("_factors")
+        if name != "elements" or not factors:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        prod = np.einsum("aij,bkl->abikjl", factors[0].elements, factors[1].elements)
+        self._adopt(prod.reshape(len(self), self.d, self.dprime))
+        return self.elements
 
     def _adopt(self, arr: np.ndarray) -> None:
         """Check the header and take arr, a complex C-ordered array, as the elements."""
@@ -96,15 +107,24 @@ class BasisFamily:
         object.__setattr__(self, "elements", arr)
 
     def __eq__(self, other) -> bool:
-        # by value: the header and the elements' entries, never the factors
+        # by value: the header and the elements' entries; equal factors form
+        # equal entries, so only products of unequal factors are formed
         if not isinstance(other, BasisFamily):
             return NotImplemented
         return ((self.d, self.dprime, self.k, self.label)
                 == (other.d, other.dprime, other.k, other.label)
-                and np.array_equal(self.elements, other.elements))
+                and (self._factors and self._factors == other._factors
+                     or np.array_equal(self.elements, other.elements)))
+
+    def __repr__(self) -> str:
+        # an unformed product shows its factors, so a repr never forms the array
+        elements = self.__dict__.get("elements")
+        shown = repr(elements) if elements is not None else f"_product{self._factors!r}"
+        return (f"BasisFamily(d={self.d!r}, dprime={self.dprime!r}, k={self.k!r}, "
+                f"elements={shown}, label={self.label!r})")
 
     def __len__(self) -> int:
-        return self.elements.shape[0]
+        return self.d * self.dprime
 
     def __getitem__(self, i: int) -> np.ndarray:
         return self.elements[i]
@@ -157,19 +177,19 @@ class FamilySet:
         return iter(self.families)
 
 
-def _product(left: BasisFamily, right: BasisFamily) -> BasisFamily:
+def _product(left: BasisFamily, right: BasisFamily, label: str | None = None) -> BasisFamily:
     """The family of kron(left[a], right[b]) at index a * len(right) + b.
 
-    The package's one Kronecker layout, which _magnitudes, _self and _spectrum read back.
-    The label is "a*b", or whichever is non-empty; the fresh array is taken over.
+    The package's one Kronecker layout, which _magnitudes, _self and _spectrum read back;
+    BasisFamily.__getattr__ forms its elements, the einsum aij,bkl->abikjl, on first read.
+    The label defaults to "a*b", or whichever is non-empty.
     """
     fam = object.__new__(BasisFamily)
+    if label is None:
+        label = "*".join(filter(None, (left.label, right.label)))
     for name, value in (("d", left.d * right.d), ("dprime", left.dprime * right.dprime),
-                        ("k", left.k * right.k), ("_factors", (left, right)),
-                        ("label", "*".join(filter(None, (left.label, right.label))))):
+                        ("k", left.k * right.k), ("_factors", (left, right)), ("label", label)):
         object.__setattr__(fam, name, value)
-    prod = np.einsum("aij,bkl->abikjl", left.elements, right.elements)
-    fam._adopt(prod.reshape(len(left) * len(right), fam.d, fam.dprime))
     return fam
 
 
@@ -263,7 +283,8 @@ def _merge(parts: list[tuple[int, int, VerificationReport]]) -> VerificationRepo
     relabelled = ((fi, fj, *off[2:]) for fi, fj, rep in parts for off in rep.offenders)
     return VerificationReport(
         passed=all(rep.passed for _, _, rep in parts),
-        worst_violation=max(rep.worst_violation for _, _, rep in parts),
+        # np.max keeps a NaN stage worst wherever it sits, where max() may drop it
+        worst_violation=float(np.max([rep.worst_violation for _, _, rep in parts])),
         offenders=tuple(itertools.islice(relabelled, MAX_OFFENDERS)),
         checks_run=sum(rep.checks_run for _, _, rep in parts),
     )

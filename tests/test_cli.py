@@ -178,6 +178,18 @@ def test_compose_recipe_writes_verified_set(tmp_path, capsys):
     assert code == 0 and "PASS" in out
 
 
+def test_compose_out_forms_every_product_before_creating_the_file(tmp_path, monkeypatch):
+    # the recipe certifies through its factors; only the writer forms the products
+    def failing(*args, **kwargs):
+        raise MemoryError("cannot form the product")
+
+    monkeypatch.setattr(np, "einsum", failing)
+    path = tmp_path / "m69.json"
+    with pytest.raises(MemoryError):
+        main(["compose", "m69", "--out", str(path)])
+    assert not path.exists()
+
+
 def test_compose_tensor_of_two_files(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -1,7 +1,11 @@
 import functools
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,6 +361,8 @@ def test_tensor_families_takes_over_its_fresh_product_array():
     tracemalloc.start()
     try:
         out = tensor_families(s, t)
+        for fam in out:
+            fam.elements  # formed on first read, inside the traced region
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -368,3 +374,30 @@ def test_tensor_families_takes_over_its_fresh_product_array():
                for fam in out)
     digest = hashlib.sha256(b"".join(fam.elements.tobytes() for fam in out)).hexdigest()
     assert digest == "a78aa458489c7ccae88abb88e73c13190eb33761b1312250679760ae3653d96c"
+
+
+# run in a fresh interpreter, whose peak RSS is the recipe's alone; formed, the
+# products would take 31 GB and 105 GB
+TOO_LARGE_TO_FORM = """
+import resource, sys
+from museb import run_recipe
+fs = run_recipe("theorem3", **dict(zip(("d", "dprime", "p", "q"), map(int, sys.argv[1:]))))
+assert all("elements" not in vars(fam) for fam in fs)
+print(len(fs), fs.d, fs.dprime, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("params, want", [
+    ((2, 3, 72, 72), (2, 144, 216)),
+    ((36, 36, 6, 6), (3, 216, 216)),
+])
+def test_products_too_large_to_form_certify_in_little_memory(params, want):
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", TOO_LARGE_TO_FORM, *map(str, params)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    count, d, dprime, maxrss_kb = proc.stdout.split()
+    assert (int(count), int(d), int(dprime)) == want  # run_recipe returns certified sets only
+    assert int(maxrss_kb) < 500 * 1024

@@ -470,7 +470,7 @@ def merged_report(fs, tol):
               for fi, fj in itertools.combinations(range(len(fs)), 2)]
     reports = [rep for _, _, rep in parts]
     offenders = [(fi, fj, *o[2:]) for fi, fj, rep in parts for o in rep.offenders]
-    return (all(r.passed for r in reports), max(r.worst_violation for r in reports),
+    return (all(r.passed for r in reports), float(np.max([r.worst_violation for r in reports])),
             tuple(offenders[:MAX_OFFENDERS]), sum(r.checks_run for r in reports))
 
 
@@ -670,13 +670,16 @@ def test_factors_do_not_outlive_their_elements(tmp_path):
         dataclasses.replace(prod),
         dataclasses.replace(prod, label="relabelled"),
         BasisFamily(prod.d, prod.dprime, prod.k, prod.elements, prod.label),
-        *transpose_family(prod_set),
         *mub_composite(6),  # a fold of products, relabelled by replace
     ]
     save_family_set(prod_set, tmp_path / "prod.json")
     rebuilt += load_family_set(tmp_path / "prod.json").families
     assert all(fam._factors == () for fam in rebuilt)
     assert all(fam._factors == () for fam in (catalog("R1"), mub_prime(5)[0]))
+    # a transpose is the product of the transposed factors, with the product's label
+    transposed = transpose_family(prod_set)[0]
+    assert transposed.label == "R1*R2^T"
+    assert transposed._factors == tuple(transpose_family(FamilySet(prod._factors)))
 
 
 def test_unmatched_factors_fall_back_to_the_dense_gram(monkeypatch):
@@ -733,7 +736,9 @@ def test_a_nan_in_any_factor_gram_fails_both_gram_stages(seed, specs, nest_left,
             mp.setattr(verify, "_overlap_gram", nan_gram)
             pair = check_mu_pair(f, g)
             assert not pair.passed and np.isnan(pair.worst_violation)
-            assert not check_sebk(f).passed
+            # the merged reports keep the NaN behind the passed spectrum stage
+            for rep in (check_sebk(f), check_museb_set(FamilySet((f, g)))):
+                assert not rep.passed and np.isnan(rep.worst_violation)
 
 
 @pytest.mark.parametrize("build, budget", [
@@ -754,6 +759,52 @@ def test_product_certifies_in_memory_of_its_factors(build, budget):
     assert peak < budget
 
 
+def einsum_elements(fam):
+    # the eager formation of a product's elements, factors formed the same way first
+    if not fam._factors:
+        return fam.elements
+    left, right = map(einsum_elements, fam._factors)
+    return np.einsum("aij,bkl->abikjl", left, right).reshape(len(fam), fam.d, fam.dprime)
+
+
+def unformed(fam):
+    # no product in fam's tree of factors has formed its elements; a leaf is dense
+    return not fam._factors or ("elements" not in vars(fam) and all(map(unformed, fam._factors)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), specs=product_specs, nest_left=st.booleans())
+def test_formed_elements_are_the_einsum_of_the_factors(seed, specs, nest_left):
+    for fam in random_product(seed, specs, nest_left):
+        want = einsum_elements(fam)
+        assert unformed(fam)
+        got = fam.elements
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous and not got.flags.writeable
+        assert fam.elements is got  # formed once, then cached
+
+
+def test_header_length_equality_and_certificate_form_no_product():
+    built = [tensor_families(compose._known_set(2, 2), compose._known_set(3, 3))
+             for _ in range(2)]
+    nested = run_recipe("example1")  # products of products, each certified on the way
+    for fam in built[0]:
+        assert (len(fam), fam.d, fam.dprime, fam.k) == (36, 6, 6, 6)
+    assert built[0] == built[1] and not built[0] != built[1]  # equal factors, by value
+    assert check_museb_set(built[0]).passed
+    assert "elements=_product(" in repr(built[0])
+    assert all(unformed(fam) for fs in (*built, nested) for fam in fs)
+
+
+def test_replace_and_dense_copy_form_the_product():
+    prod = prod_family()
+    relabelled = dataclasses.replace(prod, label="relabelled")
+    assert not unformed(prod) and relabelled._factors == ()
+    assert relabelled.label == "relabelled"
+    assert np.array_equal(relabelled.elements, prod.elements)
+    assert dense_copy(FamilySet((prod,)))[0] == prod
+
+
 def test_basis_family_surface_is_unchanged():
     assert list(inspect.signature(BasisFamily).parameters) == [
         "d", "dprime", "k", "elements", "label"]
@@ -762,7 +813,12 @@ def test_basis_family_surface_is_unchanged():
     assert [f.name for f in fields if f.compare] == public
     assert [f.name for f in fields if f.repr] == public
     prod = prod_family()
-    assert repr(prod) == repr(dense_copy(FamilySet((prod,)))[0])
+    # an unformed product shows its factors; a formed one reads as its dense copy
+    shown = repr(prod)
+    assert shown.startswith("BasisFamily(d=4, dprime=9, k=4, elements=_product(")
+    assert unformed(prod)
+    dense = dense_copy(FamilySet((prod,)))[0]  # reads, so forms, prod's elements
+    assert repr(prod) == repr(dense) != shown
 
 
 def test_public_constructor_still_copies_caller_arrays():
