@@ -11,7 +11,7 @@ the package's one Kronecker kernel, and tensor_families its public
 pairwise fold: the composite built-in sets are left folds of
 tensor_families over prime-dimension sets.  A product's elements are
 formed on first read, so building and certifying one reads only its
-factors, and transpose_family keeps a product factored.
+factors.
 
 run_recipe packages named applications of this rule, called by name with
 its parameters as keywords: run_recipe("theorem3", d=2, dprime=3, p=3, q=3).
@@ -70,16 +70,14 @@ def transpose_family(s: FamilySet) -> FamilySet:
     """
     if len(s) == 0:
         raise EmptyInput("transpose_family needs at least one family")
-    return FamilySet(tuple(map(_transposed, s)))
-
-
-def _transposed(fam: BasisFamily) -> BasisFamily:
-    # kron(a, b)^T = kron(a^T, b^T) entry for entry, so a product stays factored
-    label = f"{fam.label}^T" if fam.label else ""
-    if fam._factors:
-        return _product(*map(_transposed, fam._factors), label=label)
-    elements = fam.elements.transpose(0, 2, 1)  # BasisFamily makes the one copy
-    return BasisFamily(d=fam.dprime, dprime=fam.d, k=fam.k, elements=elements, label=label)
+    families = []
+    for fam in s:
+        elements = fam.elements.transpose(0, 2, 1)  # BasisFamily makes the one copy
+        label = f"{fam.label}^T" if fam.label else ""
+        families.append(
+            BasisFamily(d=fam.dprime, dprime=fam.d, k=fam.k, elements=elements, label=label)
+        )
+    return FamilySet(tuple(families))
 
 
 def _fold(parts, build: Callable[[int], FamilySet]) -> FamilySet:

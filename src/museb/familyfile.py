@@ -90,8 +90,15 @@ def _dumps_stack(mat: np.ndarray) -> str:
 
 
 def _header(fs: FamilySet) -> dict[str, Any]:
+    """Every field of fs's document but bases.
+
+    Called before any output is made: it refuses an empty set and forms every
+    product's elements, so a product that cannot be formed leaves no partial output.
+    """
     if len(fs) == 0:
         raise FileFormatError("refusing to serialize an empty family set")
+    for fam in fs:
+        fam.elements  # a product's elements are formed on first read
     return {
         "format_version": FORMAT_VERSION,
         "d": fs.d,
@@ -165,9 +172,7 @@ def _write_family_set(fs: FamilySet, fh: TextIO) -> None:
 
 
 def save_family_set(fs: FamilySet, path: str | os.PathLike) -> None:
-    _header(fs)  # refuses an empty set before the file is created
-    for fam in fs:
-        fam.elements  # forms every product first, so a failed one leaves no partial file
+    _header(fs)  # refuses an empty set, and forms every product, before the file is created
     with open(path, "w", encoding="utf-8") as fh:
         _write_family_set(fs, fh)
 

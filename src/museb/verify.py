@@ -107,14 +107,12 @@ class BasisFamily:
         object.__setattr__(self, "elements", arr)
 
     def __eq__(self, other) -> bool:
-        # by value: the header and the elements' entries; equal factors form
-        # equal entries, so only products of unequal factors are formed
+        # by value: the header and the elements' entries, never the factors
         if not isinstance(other, BasisFamily):
             return NotImplemented
         return ((self.d, self.dprime, self.k, self.label)
                 == (other.d, other.dprime, other.k, other.label)
-                and (self._factors and self._factors == other._factors
-                     or np.array_equal(self.elements, other.elements)))
+                and np.array_equal(self.elements, other.elements))
 
     def __repr__(self) -> str:
         # an unformed product shows its factors, so a repr never forms the array
@@ -177,18 +175,17 @@ class FamilySet:
         return iter(self.families)
 
 
-def _product(left: BasisFamily, right: BasisFamily, label: str | None = None) -> BasisFamily:
+def _product(left: BasisFamily, right: BasisFamily) -> BasisFamily:
     """The family of kron(left[a], right[b]) at index a * len(right) + b.
 
     The package's one Kronecker layout, which _magnitudes, _self and _spectrum read back;
     BasisFamily.__getattr__ forms its elements, the einsum aij,bkl->abikjl, on first read.
-    The label defaults to "a*b", or whichever is non-empty.
+    The label is "a*b", or whichever is non-empty.
     """
     fam = object.__new__(BasisFamily)
-    if label is None:
-        label = "*".join(filter(None, (left.label, right.label)))
     for name, value in (("d", left.d * right.d), ("dprime", left.dprime * right.dprime),
-                        ("k", left.k * right.k), ("_factors", (left, right)), ("label", label)):
+                        ("k", left.k * right.k), ("_factors", (left, right)),
+                        ("label", "*".join(filter(None, (left.label, right.label))))):
         object.__setattr__(fam, name, value)
     return fam
 

@@ -178,7 +178,8 @@ def test_compose_recipe_writes_verified_set(tmp_path, capsys):
     assert code == 0 and "PASS" in out
 
 
-def test_compose_out_forms_every_product_before_creating_the_file(tmp_path, monkeypatch):
+@pytest.mark.parametrize("to_file", [True, False])
+def test_compose_forms_every_product_before_writing(tmp_path, monkeypatch, capsys, to_file):
     # the recipe certifies through its factors; only the writer forms the products
     def failing(*args, **kwargs):
         raise MemoryError("cannot form the product")
@@ -186,8 +187,9 @@ def test_compose_out_forms_every_product_before_creating_the_file(tmp_path, monk
     monkeypatch.setattr(np, "einsum", failing)
     path = tmp_path / "m69.json"
     with pytest.raises(MemoryError):
-        main(["compose", "m69", "--out", str(path)])
+        main(["compose", "m69", *(["--out", str(path)] if to_file else [])])
     assert not path.exists()
+    assert capsys.readouterr().out == ""
 
 
 def test_compose_tensor_of_two_files(tmp_path, capsys):

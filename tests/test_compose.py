@@ -103,6 +103,8 @@ def test_transpose_family_swaps_dims_and_preserves_verdict():
 def test_transpose_family_copies_each_family_once():
     qubits = tensor_families(mumeb_qubit(), mumeb_qubit())
     fs = tensor_families(qubits, s_set())  # three families of C^12 (x) C^12
+    for fam in fs:
+        fam.elements  # formed on first read, here before tracing: the peak is the transpose's
     tracemalloc.start()
     try:
         out = transpose_family(fs)
