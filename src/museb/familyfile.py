@@ -7,11 +7,13 @@ save/load cycle reproduces arrays bit for bit.
 Built-in witnesses draw their entries from a few scaled roots of unity,
 so the writer reprs each distinct entry bit pattern once (_dumps_stack);
 its text is exactly json.dumps of the entry lists.  load_family_set reads
-the file text once and walks its punctuation down to the element matrices;
-json's own scanner decodes every key, header value and single element, so
-the grammar is json's.  Each element becomes a float array as soon as it
-is scanned, so the load holds the file text plus the arrays, never the
-whole tree of Python floats that json.load would build.  Memoising float
+the file a chunk of text at a time, holding only the unread part, and walks
+its punctuation down to the element matrices; json's own scanner decodes
+every key, header value and single element, so the grammar, the values and
+the refusals are json's.  Each element becomes a float array as soon as it
+is scanned, and each basis's stack is taken by its family without a copy,
+so the load holds the arrays plus one window of text, never the whole file
+nor the tree of Python floats that json.load would build.  Memoising float
 parsing by number text doubled the load time and peak memory of files
 whose values do not repeat.
 """
@@ -149,11 +151,15 @@ def _family_set(doc: dict[str, Any], elements_of: Callable[[Any], np.ndarray]) -
         raise FileFormatError("labels, when present, must align with bases")
     families = []
     for label, basis in zip(labels, bases):
-        elements = elements_of(basis)
+        elements = elements_of(basis)  # a fresh complex C-ordered stack, so taken without a copy
+        fam = object.__new__(BasisFamily)
+        for name, value in (("d", d), ("dprime", dprime), ("k", k), ("label", label)):
+            object.__setattr__(fam, name, value)
         try:
-            families.append(BasisFamily(d=d, dprime=dprime, k=k, elements=elements, label=label))
+            fam._adopt(elements)
         except Exception as exc:
             raise FileFormatError(f"stored basis is inconsistent: {exc}") from exc
+        families.append(fam)
     return FamilySet(tuple(families))
 
 
@@ -188,78 +194,140 @@ def _read_json(path: str | os.PathLike) -> Any:
 # json's own C scanner decodes each value; the walk below skips only punctuation
 _value = json.JSONDecoder().raw_decode  # (value starting at text[i], index past it)
 _skip_ws = json.decoder.WHITESPACE.match
+_CHUNK = 1 << 16  # characters read from the file per refill, at the least
 
 
-def _walk(text: str, i: int, close: str, item: Callable[[str, int], tuple[Any, int]]
+def _string(text: str, i: int) -> tuple[str, int]:
+    return json.decoder.scanstring(text, i + 1)  # the string whose quote is text[i]
+
+
+def _next(text: str, i: int) -> tuple[str, int]:
+    """The first character from text[i] on that is not whitespace ("" at the end), and its index."""
+    i = _skip_ws(text, i).end()
+    return text[i:i + 1], i
+
+
+class _Reader:
+    """The unread text of a file, held a window at a time.
+
+    text[0] sits at character pos of the file; every index a walker holds is
+    an index into text, valid until its next read.
+    """
+
+    def __init__(self, fh: TextIO) -> None:
+        self.fh, self.text, self.eof = fh, "", False
+        self.pos = self.line = self.column = 0  # where text[0] sits: char, line and column
+
+    def read(self, scan: Callable[[str, int], tuple[Any, int]], i: int) -> tuple[Any, int]:
+        """scan(text, i), retried on more text until it ends short of the window's edge or at EOF.
+
+        A scan that raises is final only once the whole file is in the window.
+        A number cut by the edge may scan to two characters before it, as 1
+        does in "1e+" of "1e+5", so a scan ending that close is retried too.
+        """
+        while True:
+            try:
+                value, end = scan(self.text, i)
+            except ValueError:
+                if self.eof:
+                    raise
+            else:
+                if end + 2 < len(self.text) or self.eof:
+                    return value, end
+            i = self._refill(i)
+
+    def _refill(self, start: int) -> int:
+        """Drop text before start and at least double the text held past it; start is now 0."""
+        text = self.text
+        newline = text.rfind("\n", 0, start)
+        self.column = start - newline - 1 if newline >= 0 else self.column + start
+        self.line += text.count("\n", 0, start)
+        self.pos += start
+        more = self.fh.read(max(_CHUNK, len(text) - start))  # a bad byte raises UnicodeDecodeError
+        self.eof = not more
+        self.text = text[start:] + more
+        return 0
+
+    def where(self, exc: json.JSONDecodeError) -> str:
+        """json's message for exc, placed in the whole file rather than the window."""
+        column = exc.colno + self.column if exc.lineno == 1 else exc.colno
+        return f"{exc.msg}: line {exc.lineno + self.line} column {column} (char {exc.pos + self.pos})"
+
+
+def _walk(r: _Reader, i: int, close: str, item: Callable[[_Reader, int], tuple[Any, int]]
           ) -> tuple[list[Any], int]:
-    """The comma-separated items after the bracket at text[i], up to close.
+    """The comma-separated items after the bracket at r.text[i], up to close.
 
-    item(text, start) reads one item and returns it with the index just past it.
+    item(r, start) reads the item whose first character is r.text[start] and
+    returns it with the index just past it.
     """
     items = []
-    i = _skip_ws(text, i + 1).end()
-    if text[i:i + 1] == close:
+    c, i = r.read(_next, i + 1)
+    if c == close:
         return items, i + 1
     while True:
-        value, i = item(text, i)
+        value, i = item(r, i)
         items.append(value)
-        i = _skip_ws(text, i).end()
-        if text[i:i + 1] == close:
+        c, i = r.read(_next, i)
+        if c == close:
             return items, i + 1
-        if text[i:i + 1] != ",":
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
-        i = _skip_ws(text, i + 1).end()
+        if c != ",":
+            raise json.JSONDecodeError("Expecting ',' delimiter", r.text, i)
+        _, i = r.read(_next, i + 1)
 
 
-def _element(text: str, i: int) -> tuple[np.ndarray, int]:
-    value, end = _value(text, i)
-    mat = matrix_from_list(value)
+# A walked element or basis is its array or the FileFormatError it earned.
+# The refusal is raised only once the whole text has scanned, in the order
+# family_set_from_dict would meet it, so a syntax error anywhere comes first
+# and a later duplicate "bases" key still wins.
+def _element(r: _Reader, i: int) -> tuple[np.ndarray | FileFormatError, int]:
+    value, end = r.read(_value, i)
+    try:
+        mat = matrix_from_list(value)
+    except FileFormatError as exc:
+        return exc, end
     if mat.ndim != 2:
-        raise FileFormatError(f"each basis element must be one matrix, got shape {mat.shape}")
+        return FileFormatError(f"each basis element must be one matrix, got shape {mat.shape}"), end
     return mat, end
 
 
-# A walked basis is its element stack or the FileFormatError it earned.  The
-# refusal is raised only once the whole text has scanned, in the order
-# family_set_from_dict would meet it, so a syntax error anywhere comes first
-# and a later duplicate "bases" key still wins.
-def _basis(text: str, i: int) -> tuple[np.ndarray | FileFormatError, int]:
-    if text[i:i + 1] != "[":
-        return FileFormatError(_NOT_A_BASIS), _value(text, i)[1]
-    try:
-        elements, end = _walk(text, i, "]", _element)
-    except FileFormatError as exc:
-        return exc, _value(text, i)[1]  # the refused basis is scanned whole to find its end
+def _basis(r: _Reader, i: int) -> tuple[np.ndarray | FileFormatError, int]:
+    if r.text[i:i + 1] != "[":
+        return FileFormatError(_NOT_A_BASIS), r.read(_value, i)[1]
+    elements, end = _walk(r, i, "]", _element)
+    refusal = next((e for e in elements if isinstance(e, FileFormatError)), None)
+    if refusal is not None:
+        return refusal, end
     try:
         return np.stack(elements), end
     except ValueError:  # no elements, or elements of two shapes
         return FileFormatError(_NOT_A_BASIS), end
 
 
-def _field(text: str, i: int) -> tuple[tuple[str, Any], int]:
-    if text[i:i + 1] != '"':
-        raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, i)
-    key, i = json.decoder.scanstring(text, i + 1)
-    i = _skip_ws(text, i).end()
-    if text[i:i + 1] != ":":
-        raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
-    i = _skip_ws(text, i + 1).end()
-    if key == "bases" and text[i:i + 1] == "[":
-        value, i = _walk(text, i, "]", _basis)
+def _field(r: _Reader, i: int) -> tuple[tuple[str, Any], int]:
+    if r.text[i:i + 1] != '"':
+        raise json.JSONDecodeError("Expecting property name enclosed in double quotes", r.text, i)
+    key, i = r.read(_string, i)
+    c, i = r.read(_next, i)
+    if c != ":":
+        raise json.JSONDecodeError("Expecting ':' delimiter", r.text, i)
+    c, i = r.read(_next, i + 1)
+    if key == "bases" and c == "[":
+        value, i = _walk(r, i, "]", _basis)
     else:
-        value, i = _value(text, i)
+        value, i = r.read(_value, i)
     return (key, value), i
 
 
-def _walk_document(text: str) -> dict[str, Any]:
+def _walk_document(r: _Reader) -> dict[str, Any]:
     """The fields of a museb-1 document; an array under bases holds one walked basis per entry."""
-    i = _skip_ws(text, 0).end()
-    if text[i:i + 1] != "{":
+    c, i = r.read(_next, 0)
+    if c != "{":
         raise FileFormatError("expected a JSON object")
-    fields, i = _walk(text, i, "}", _field)
-    i = _skip_ws(text, i).end()
-    if i != len(text):
-        raise json.JSONDecodeError("Extra data", text, i)
+    fields, i = _walk(r, i, "}", _field)
+    c, i = r.read(_next, i)
+    if c:
+        raise json.JSONDecodeError("Extra data", r.text, i)
     return dict(fields)  # the last value of a duplicate key wins, as in json.load
 
 
@@ -272,8 +340,12 @@ def _walked_basis(basis: np.ndarray | FileFormatError) -> np.ndarray:
 def load_family_set(path: str | os.PathLike) -> FamilySet:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            fields = _walk_document(fh.read())  # the text is freed before the families are built
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+            r = _Reader(fh)
+            try:
+                fields = _walk_document(r)
+            except json.JSONDecodeError as exc:
+                raise FileFormatError(f"not valid JSON: {r.where(exc)}") from exc
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError, a deep element
         raise FileFormatError(f"not valid JSON: {exc}") from exc
     return _family_set(fields, _walked_basis)
 

@@ -125,7 +125,19 @@ class BasisFamily:
         return self.d * self.dprime
 
     def __getitem__(self, i: int) -> np.ndarray:
-        return self.elements[i]
+        # one element of an unformed product is the Kronecker product of one
+        # element of each factor, laid out as __getattr__'s einsum lays it out
+        factors = self.__dict__.get("_factors")
+        if not factors or "elements" in self.__dict__ or not isinstance(i, (int, np.integer)) \
+                or isinstance(i, bool):
+            return self.elements[i]
+        left, right = factors
+        a, b = divmod(i, len(right))
+        if not -len(left) <= a < len(left):
+            raise IndexError(f"index {i} is out of bounds for axis 0 with size {len(self)}")
+        mat = np.einsum("ij,kl->ikjl", left[a], right[b]).reshape(self.d, self.dprime)
+        mat.setflags(write=False)
+        return mat
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from museb import (
     save_matrix,
     weyl_meb,
 )
+from museb import familyfile
 from museb.familyfile import _dumps_stack, dumps_matrix, matrix_from_list, matrix_to_list
 
 
@@ -413,6 +418,61 @@ def test_load_holds_the_text_and_the_arrays_not_the_json_tree(tmp_path):
     assert peak < path.stat().st_size + 4 * arrays
 
 
+@pytest.mark.parametrize("indent", [None, 3])
+def test_load_is_bounded_by_its_arrays_not_its_text(tmp_path, indent):
+    # the file is read a window of text at a time, so neither the 6.6 MB file
+    # nor its 17 MB indented form counts against the 2.4 MB of arrays
+    fs = mub_prime(53)
+    path = tmp_path / "mub53.json"
+    if indent is None:
+        save_family_set(fs, path)
+    else:
+        path.write_text(json.dumps(family_set_to_dict(fs), indent=indent), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        back = load_family_set(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(fam.elements.nbytes for fam in back)
+    assert path.stat().st_size > 2 * arrays
+    assert peak < 2 * arrays
+    assert all(_same_bits(a.elements, b.elements) for a, b in zip(back, fs))
+
+
+# ru_maxrss would not do here: Linux carries the spawning process's peak RSS
+# into the child's across exec, so under pytest it reads pytest's own peak;
+# VmHWM is the peak of the interpreter's own address space
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
+def test_cli_verify_rss_rises_by_less_than_half_the_file(tmp_path):
+    # a fresh interpreter, so its peak RSS so far is the save's; the verify
+    # that follows may lift it by its arrays and a window, not by the file
+    code = """
+import gc, os
+import museb
+from museb import cli
+
+def peak():
+    with open('/proc/self/status') as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:')) * 1024
+
+museb.save_family_set(museb.mub_prime(53), 'mub53.json')
+gc.collect()
+before = peak()
+code = cli.main(['verify', 'mub53.json'])
+print(code, peak() - before, os.path.getsize('mub53.json'))
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, rise, size = map(int, proc.stdout.splitlines()[-1].split())
+    assert exit_code == 0
+    assert rise < size / 2
+
+
 def _malformed_r_set_files():
     """Broken museb-1 files, each of a kind that once escaped as another error.
 
@@ -486,37 +546,81 @@ def _mutate_tree(data, node):
         node = child
 
 
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_fuzzed_documents_raise_only_file_format_error(tmp_path, data):
+def _fuzzed(data):
+    """The bytes of an R1/R2 document with a node of its tree or a few of its bytes changed."""
     text = json.dumps(family_set_to_dict(r_set()))
     if data.draw(st.booleans()):
         doc = json.loads(text)
         _mutate_tree(data, doc)
-        raw = json.dumps(doc).encode()
-    else:
-        raw = bytearray(text.encode())
-        for _ in range(data.draw(st.integers(1, 4))):
-            at = data.draw(st.integers(0, len(raw) - 1))
-            op = data.draw(st.sampled_from(["set", "insert", "delete", "truncate"]))
-            if op == "set":
-                raw[at] = data.draw(st.integers(0, 255))
-            elif op == "insert":
-                raw[at:at] = data.draw(st.binary(min_size=1, max_size=4))
-            elif op == "delete":
-                del raw[at]
-            else:
-                del raw[at:]
-            if not raw:
-                break
-        raw = bytes(raw)
+        return json.dumps(doc).encode()
+    raw = bytearray(text.encode())
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = data.draw(st.integers(0, len(raw) - 1))
+        op = data.draw(st.sampled_from(["set", "insert", "delete", "truncate"]))
+        if op == "set":
+            raw[at] = data.draw(st.integers(0, 255))
+        elif op == "insert":
+            raw[at:at] = data.draw(st.binary(min_size=1, max_size=4))
+        elif op == "delete":
+            del raw[at]
+        else:
+            del raw[at:]
+        if not raw:
+            break
+    return bytes(raw)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_documents_raise_only_file_format_error(tmp_path, data):
     path = tmp_path / "fuzz.json"
-    path.write_bytes(raw)
+    path.write_bytes(_fuzzed(data))
     try:
         load_family_set(path)
     except FileFormatError:
         pass
+
+
+def _outcome(path):
+    """What load_family_set makes of a file: each family's header, label and bytes, or the refusal."""
+    try:
+        fs = load_family_set(path)
+    except FileFormatError as exc:
+        return str(exc)
+    return [(f.d, f.dprime, f.k, f.label, f.elements.tobytes()) for f in fs]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(chunk=st.integers(1, 64), text=_reserialized(), data=st.data(),
+       extras=st.lists(st.floats() | st.integers(-10**30, 10**30), max_size=8))
+def test_every_chunk_size_reads_what_one_read_would(tmp_path, chunk, text, data, extras):
+    # the reader holds a window of a few chunks, so tiny chunks cut every
+    # key, number, literal and run of whitespace somewhere; the extra fields,
+    # which a load ignores, put bare numbers such as 1e-05 where a cut "1e"
+    # would still scan as a number
+    fields = "".join(f'"x{i}": {json.dumps(v)}, ' for i, v in enumerate(extras))
+    text = "{" + fields + text[1:]
+    expected = family_set_from_dict(json.loads(text))
+    at = data.draw(st.integers(0, len(text)))
+    broken = text[:at] + data.draw(st.sampled_from(["x", ",", "]", "}", '"', "1e", "\n\x00"])) + text[at:]
+    files = {"fuzz": _fuzzed(data), "broken": broken.encode(), **MALFORMED}
+    for name, raw in files.items():
+        (tmp_path / f"{name}.json").write_bytes(raw)
+    at_default = {name: _outcome(tmp_path / f"{name}.json") for name in files}
+    path = tmp_path / "set.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(familyfile, "_CHUNK", chunk)
+        back = load_family_set(path)
+        # the same sets, and the same refusals placed at the same line, column and char
+        assert {name: _outcome(tmp_path / f"{name}.json") for name in files} == at_default
+    assert all(isinstance(at_default[kind], str) for kind in MALFORMED)
+    assert (back.d, back.dprime, back.k) == (expected.d, expected.dprime, expected.k)
+    assert [f.label for f in back] == [f.label for f in expected]
+    assert len(back) == len(expected)
+    assert all(_same_bits(a.elements, b.elements) for a, b in zip(back, expected))
 
 
 def test_numpy_integer_header_round_trips(tmp_path):
