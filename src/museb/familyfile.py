@@ -152,14 +152,10 @@ def _family_set(doc: dict[str, Any], elements_of: Callable[[Any], np.ndarray]) -
     families = []
     for label, basis in zip(labels, bases):
         elements = elements_of(basis)  # a fresh complex C-ordered stack, so taken without a copy
-        fam = object.__new__(BasisFamily)
-        for name, value in (("d", d), ("dprime", dprime), ("k", k), ("label", label)):
-            object.__setattr__(fam, name, value)
         try:
-            fam._adopt(elements)
+            families.append(BasisFamily._taking(d, dprime, k, label, elements))
         except Exception as exc:
             raise FileFormatError(f"stored basis is inconsistent: {exc}") from exc
-        families.append(fam)
     return FamilySet(tuple(families))
 
 
@@ -343,8 +339,15 @@ def load_family_set(path: str | os.PathLike) -> FamilySet:
             r = _Reader(fh)
             try:
                 fields = _walk_document(r)
-            except json.JSONDecodeError as exc:
-                raise FileFormatError(f"not valid JSON: {r.where(exc)}") from exc
+            except UnicodeDecodeError:
+                raise
+            except (ValueError, RecursionError, FileFormatError) as exc:
+                # a whole-file read would meet a bad byte anywhere first, so read on to EOF
+                while fh.read(_CHUNK):
+                    pass
+                if isinstance(exc, json.JSONDecodeError):
+                    raise FileFormatError(f"not valid JSON: {r.where(exc)}") from exc
+                raise
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError, a deep element
         raise FileFormatError(f"not valid JSON: {exc}") from exc
     return _family_set(fields, _walked_basis)

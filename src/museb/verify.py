@@ -86,6 +86,22 @@ class BasisFamily:
         self._adopt(prod.reshape(len(self), self.d, self.dprime))
         return self.elements
 
+    @classmethod
+    def _taking(cls, d: int, dprime: int, k: int, label: str,
+                elements: np.ndarray | None = None, factors: tuple = ()) -> BasisFamily:
+        """A family with this header, built without __post_init__'s copy.
+
+        It takes elements, a fresh complex C-ordered array, after _adopt's
+        checks; a product passes its factors instead and forms them on first read.
+        """
+        fam = object.__new__(cls)
+        for name, value in (("d", d), ("dprime", dprime), ("k", k), ("label", label),
+                            ("_factors", factors)):
+            object.__setattr__(fam, name, value)
+        if elements is not None:
+            fam._adopt(elements)
+        return fam
+
     def _adopt(self, arr: np.ndarray) -> None:
         """Check the header and take arr, a complex C-ordered array, as the elements."""
         for name in ("d", "dprime", "k"):
@@ -125,19 +141,7 @@ class BasisFamily:
         return self.d * self.dprime
 
     def __getitem__(self, i: int) -> np.ndarray:
-        # one element of an unformed product is the Kronecker product of one
-        # element of each factor, laid out as __getattr__'s einsum lays it out
-        factors = self.__dict__.get("_factors")
-        if not factors or "elements" in self.__dict__ or not isinstance(i, (int, np.integer)) \
-                or isinstance(i, bool):
-            return self.elements[i]
-        left, right = factors
-        a, b = divmod(i, len(right))
-        if not -len(left) <= a < len(left):
-            raise IndexError(f"index {i} is out of bounds for axis 0 with size {len(self)}")
-        mat = np.einsum("ij,kl->ikjl", left[a], right[b]).reshape(self.d, self.dprime)
-        mat.setflags(write=False)
-        return mat
+        return self.elements[i]
 
 
 @dataclass(frozen=True)
@@ -194,12 +198,9 @@ def _product(left: BasisFamily, right: BasisFamily) -> BasisFamily:
     BasisFamily.__getattr__ forms its elements, the einsum aij,bkl->abikjl, on first read.
     The label is "a*b", or whichever is non-empty.
     """
-    fam = object.__new__(BasisFamily)
-    for name, value in (("d", left.d * right.d), ("dprime", left.dprime * right.dprime),
-                        ("k", left.k * right.k), ("_factors", (left, right)),
-                        ("label", "*".join(filter(None, (left.label, right.label))))):
-        object.__setattr__(fam, name, value)
-    return fam
+    return BasisFamily._taking(left.d * right.d, left.dprime * right.dprime, left.k * right.k,
+                               "*".join(filter(None, (left.label, right.label))),
+                               factors=(left, right))
 
 
 def _like(f: BasisFamily, g: BasisFamily) -> tuple:

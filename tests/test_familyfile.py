@@ -522,6 +522,26 @@ def test_malformed_files_raise_only_file_format_error(tmp_path, kind):
         load_family_set(path)
 
 
+@pytest.mark.parametrize("early, message", [
+    (lambda t: t.replace(', "dprime"', ' "dprime"', 1), "Expecting ',' delimiter"),
+    (lambda t: t.replace('"d":', '"d"', 1), "Expecting ':' delimiter"),
+    (lambda t: t.replace('"d": 2', '2: 2', 1), "Expecting property name"),
+    (lambda t: "[" + t[1:-1] + "]", "expected a JSON object"),
+], ids=["comma", "colon", "key", "array"])
+def test_a_late_bad_byte_outranks_an_early_syntax_error(tmp_path, early, message):
+    # a whole-file decode meets a bad byte before any syntax error, so a
+    # refused file is read to its end; the padding puts the byte windows away
+    text = early(json.dumps(family_set_to_dict(r_set())))
+    pad = b" " * (4 * familyfile._CHUNK)
+    path = tmp_path / "bad.json"
+    path.write_bytes(text[:-1].encode() + pad + text[-1:].encode())
+    with pytest.raises(FileFormatError, match=message):
+        load_family_set(path)
+    path.write_bytes(text[:-1].encode() + pad + b"\xff" + text[-1:].encode())
+    with pytest.raises(FileFormatError, match="codec can't decode byte 0xff"):
+        load_family_set(path)
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.just(10**400)
     | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4),

@@ -781,39 +781,6 @@ def test_formed_elements_are_the_einsum_of_the_factors(seed, specs, nest_left):
         assert fam.elements is got  # formed once, then cached
 
 
-@pytest.mark.parametrize("name, params", [
-    ("theorem3", dict(d=6, dprime=6, p=6, q=6)),
-    ("theorem3", dict(d=2, dprime=3, p=2, q=2)),
-    ("m69", {}),
-    ("example1", {}),
-])
-def test_one_element_of_a_product_is_its_row_of_the_formed_array(name, params):
-    for fam in run_recipe(name, **params):
-        n = len(fam)
-        ones = [fam[i] for i in range(n)] + [fam[np.int64(-1)], fam[-n]]
-        with pytest.raises(IndexError):
-            fam[n]
-        with pytest.raises(IndexError):
-            fam[-n - 1]
-        assert unformed(fam)
-        rows = [*fam.elements, fam.elements[-1], fam.elements[0]]
-        assert all(one.tobytes() == row.tobytes() for one, row in zip(ones, rows, strict=True))
-        assert all(one.shape == (fam.d, fam.dprime) and not one.flags.writeable for one in ones)
-        assert np.shares_memory(fam[0], fam.elements)  # formed, it reads its array
-
-
-def test_one_element_of_a_product_forms_only_that_element():
-    fs = run_recipe("theorem3", d=6, dprime=6, p=6, q=6)
-    tracemalloc.start()
-    try:
-        one = fs[0][0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert unformed(fs[0])
-    assert one.nbytes == 36 * 36 * 16 and peak < 1e6  # the formed family takes 27 MB
-
-
 def test_header_length_repr_and_certificate_form_no_product():
     built = [tensor_families(compose._known_set(2, 2), compose._known_set(3, 3))
              for _ in range(2)]
