@@ -2,7 +2,8 @@
 
 The on-disk format, tagged "museb-1", stores every complex entry as a
 [real, imag] pair.  Python's float repr round-trips doubles exactly, so a
-save/load cycle reproduces arrays bit for bit.
+save/load cycle reproduces arrays bit for bit.  Family sets are written
+only by save_family_set and read only by load_family_set.
 
 Built-in witnesses draw their entries from a few scaled roots of unity,
 so the writer reprs each distinct entry bit pattern once (_dumps_stack);
@@ -33,8 +34,6 @@ from .verify import BasisFamily, FamilySet
 
 __all__ = [
     "FORMAT_VERSION",
-    "family_set_to_dict",
-    "family_set_from_dict",
     "save_family_set",
     "load_family_set",
     "save_matrix",
@@ -44,26 +43,18 @@ __all__ = [
 FORMAT_VERSION = "museb-1"
 
 
-def matrix_to_list(mat: np.ndarray) -> list[list[list[float]]]:
-    # shape-agnostic: a (n, d, d') stack becomes a list of n matrices
-    arr = np.asarray(mat, complex)
-    return np.stack([arr.real, arr.imag], -1).tolist()
-
-
 def matrix_from_list(data: Any) -> np.ndarray:
-    # the inverse of matrix_to_list: a matrix, or a (n, d, d') stack at once
+    # one matrix: rows of [real, imag] pairs
     try:  # ragged nesting raises ValueError
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"matrix entries must be [real, imag] pairs: {exc}") from exc
-    if arr.ndim not in (3, 4) or arr.shape[-1] != 2:
+    if arr.ndim != 3 or arr.shape[-1] != 2:
         raise FileFormatError(
-            f"matrix must be rows x cols x [real, imag], got shape {arr.shape}"
+            f"expected one matrix of rows x cols x [real, imag], got shape {arr.shape}"
         )
     # float() takes numeric strings, null (as nan) and booleans, so check every type
-    scalars = data
-    for _ in range(arr.ndim - 1):
-        scalars = itertools.chain.from_iterable(scalars)
+    scalars = itertools.chain.from_iterable(itertools.chain.from_iterable(data))
     if not (kinds := set(map(type, scalars))) <= {float, int}:
         names = ", ".join(sorted(t.__name__ for t in kinds - {float, int}))
         raise FileFormatError(f"matrix entries must be numbers, got {names}")
@@ -73,7 +64,7 @@ def matrix_from_list(data: Any) -> np.ndarray:
 
 
 def _dumps_stack(mat: np.ndarray) -> str:
-    """The text of json.dumps(matrix_to_list(mat)), one repr per distinct entry.
+    """The text json.dumps writes for mat's entry lists, one repr per distinct entry.
 
     Entries are told apart by their bit patterns, so -0.0 and 0.0 keep
     their own tokens.  Callers pass finite entries only: repr of a finite
@@ -110,10 +101,6 @@ def _header(fs: FamilySet) -> dict[str, Any]:
     }
 
 
-def family_set_to_dict(fs: FamilySet) -> dict[str, Any]:
-    return {**_header(fs), "bases": [matrix_to_list(fam.elements) for fam in fs]}
-
-
 def _check_version(doc: dict[str, Any]) -> None:
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
@@ -123,20 +110,8 @@ def _check_version(doc: dict[str, Any]) -> None:
 _NOT_A_BASIS = "each basis must be a nonempty list of matrices of one shape"
 
 
-def _basis_from_list(basis: Any) -> np.ndarray:
-    if not isinstance(basis, list) or not basis:
-        raise FileFormatError(_NOT_A_BASIS)
-    return matrix_from_list(basis)
-
-
-def family_set_from_dict(doc: Any) -> FamilySet:
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"expected a JSON object, got {type(doc).__name__}")
-    return _family_set(doc, _basis_from_list)
-
-
-def _family_set(doc: dict[str, Any], elements_of: Callable[[Any], np.ndarray]) -> FamilySet:
-    """The set a document's fields describe; elements_of turns one entry of bases into its stack."""
+def _family_set(doc: dict[str, Any]) -> FamilySet:
+    """The set a walked document's fields describe; an entry of bases is a stack or its refusal."""
     _check_version(doc)
     try:
         d, dprime, k, bases = (doc[key] for key in ("d", "dprime", "k", "bases"))
@@ -151,16 +126,17 @@ def _family_set(doc: dict[str, Any], elements_of: Callable[[Any], np.ndarray]) -
         raise FileFormatError("labels, when present, must align with bases")
     families = []
     for label, basis in zip(labels, bases):
-        elements = elements_of(basis)  # a fresh complex C-ordered stack, so taken without a copy
-        try:
-            families.append(BasisFamily._taking(d, dprime, k, label, elements))
+        if isinstance(basis, FileFormatError):
+            raise basis
+        try:  # a fresh complex C-ordered stack, so taken without a copy
+            families.append(BasisFamily._taking(d, dprime, k, label, basis))
         except Exception as exc:
             raise FileFormatError(f"stored basis is inconsistent: {exc}") from exc
     return FamilySet(tuple(families))
 
 
 def _write_family_set(fs: FamilySet, fh: TextIO) -> None:
-    """Write the text of json.dumps(family_set_to_dict(fs)) plus a newline.
+    """Write the text json.dumps makes of fs's document, plus a newline.
 
     Each basis is encoded on its own by _dumps_stack, so only one basis's
     text is held at a time.
@@ -273,18 +249,15 @@ def _walk(r: _Reader, i: int, close: str, item: Callable[[_Reader, int], tuple[A
 
 
 # A walked element or basis is its array or the FileFormatError it earned.
-# The refusal is raised only once the whole text has scanned, in the order
-# family_set_from_dict would meet it, so a syntax error anywhere comes first
-# and a later duplicate "bases" key still wins.
+# The refusal is raised only once the whole text has scanned, by _family_set
+# in the order of bases, so a syntax error anywhere comes first and a later
+# duplicate "bases" key still wins.
 def _element(r: _Reader, i: int) -> tuple[np.ndarray | FileFormatError, int]:
     value, end = r.read(_value, i)
     try:
-        mat = matrix_from_list(value)
+        return matrix_from_list(value), end
     except FileFormatError as exc:
         return exc, end
-    if mat.ndim != 2:
-        return FileFormatError(f"each basis element must be one matrix, got shape {mat.shape}"), end
-    return mat, end
 
 
 def _basis(r: _Reader, i: int) -> tuple[np.ndarray | FileFormatError, int]:
@@ -327,12 +300,6 @@ def _walk_document(r: _Reader) -> dict[str, Any]:
     return dict(fields)  # the last value of a duplicate key wins, as in json.load
 
 
-def _walked_basis(basis: np.ndarray | FileFormatError) -> np.ndarray:
-    if isinstance(basis, FileFormatError):
-        raise basis
-    return basis
-
-
 def load_family_set(path: str | os.PathLike) -> FamilySet:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -350,7 +317,7 @@ def load_family_set(path: str | os.PathLike) -> FamilySet:
                 raise
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError, a deep element
         raise FileFormatError(f"not valid JSON: {exc}") from exc
-    return _family_set(fields, _walked_basis)
+    return _family_set(fields)
 
 
 def dumps_matrix(mat: np.ndarray) -> str:
@@ -378,6 +345,4 @@ def load_matrix(path: str | os.PathLike) -> np.ndarray:
     mat = matrix_from_list(doc)
     if not np.isfinite(mat).all():  # a number such as 1e999 parses as inf
         raise FileFormatError("matrix entries must be finite")
-    if mat.ndim != 2:
-        raise FileFormatError(f"expected one matrix, got an array of shape {mat.shape}")
     return mat

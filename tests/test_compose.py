@@ -379,16 +379,20 @@ def test_tensor_families_takes_over_its_fresh_product_array():
 
 
 # run in a fresh interpreter, whose peak RSS is the recipe's alone; formed, the
-# products would take 31 GB and 105 GB
+# products would take 31 GB and 105 GB.  VmHWM, not ru_maxrss: Linux carries
+# the spawning process's peak RSS into the child's ru_maxrss across exec
 TOO_LARGE_TO_FORM = """
-import resource, sys
+import sys
 from museb import run_recipe
 fs = run_recipe("theorem3", **dict(zip(("d", "dprime", "p", "q"), map(int, sys.argv[1:]))))
 assert all("elements" not in vars(fam) for fam in fs)
-print(len(fs), fs.d, fs.dprime, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open('/proc/self/status') as fh:
+    peak_kb = next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))
+print(len(fs), fs.d, fs.dprime, peak_kb)
 """
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
 @pytest.mark.parametrize("params, want", [
     ((2, 3, 72, 72), (2, 144, 216)),
     ((36, 36, 6, 6), (3, 216, 216)),
@@ -400,6 +404,6 @@ def test_products_too_large_to_form_certify_in_little_memory(params, want):
     proc = subprocess.run([sys.executable, "-c", TOO_LARGE_TO_FORM, *map(str, params)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    count, d, dprime, maxrss_kb = proc.stdout.split()
+    count, d, dprime, peak_kb = proc.stdout.split()
     assert (int(count), int(d), int(dprime)) == want  # run_recipe returns certified sets only
-    assert int(maxrss_kb) < 500 * 1024
+    assert int(peak_kb) < 500 * 1024

@@ -17,8 +17,6 @@ from museb import (
     FamilySet,
     FileFormatError,
     catalog,
-    family_set_from_dict,
-    family_set_to_dict,
     load_family_set,
     load_matrix,
     mub_prime,
@@ -29,11 +27,43 @@ from museb import (
     weyl_meb,
 )
 from museb import familyfile
-from museb.familyfile import _dumps_stack, dumps_matrix, matrix_from_list, matrix_to_list
+from museb.familyfile import _dumps_stack, dumps_matrix, matrix_from_list
 
 
 def r_set():
     return FamilySet((catalog("R1"), catalog("R2")))
+
+
+def _matrix_to_list(mat):
+    # a matrix, or a stack of them, as nested [real, imag] lists
+    arr = np.asarray(mat, complex)
+    return np.stack([arr.real, arr.imag], -1).tolist()
+
+
+def _document(fs):
+    """fs's museb-1 document as the dict whose json.dumps the writer must match byte for byte."""
+    return {"format_version": "museb-1", "d": fs.d, "dprime": fs.dprime, "k": fs.k,
+            "labels": [f.label for f in fs], "bases": [_matrix_to_list(f.elements) for f in fs]}
+
+
+def _json_parse(text):
+    """A valid document's header, labels and each basis's (shape, bytes), by json's whole-tree parse."""
+    doc = json.loads(text)
+    stacks = [np.asarray(b, float).view(complex)[..., 0] for b in doc["bases"]]
+    labels = doc.get("labels", [""] * len(stacks))
+    return doc["d"], doc["dprime"], doc["k"], labels, [(a.shape, a.tobytes()) for a in stacks]
+
+
+def _contents(fs):
+    """The same view of a loaded set, to compare with _json_parse."""
+    return (fs.d, fs.dprime, fs.k, [f.label for f in fs],
+            [(f.elements.shape, f.elements.tobytes()) for f in fs])
+
+
+def _load_document(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return load_family_set(path)
 
 
 @pytest.mark.parametrize("fs_builder", [r_set, lambda: mub_prime(5), mumeb_qubit])
@@ -49,72 +79,65 @@ def test_round_trip_is_exact(tmp_path, fs_builder):
         assert np.array_equal(loaded.elements, orig.elements)
 
 
-def test_dict_round_trip_preserves_bits():
-    fs = r_set()
-    doc = json.loads(json.dumps(family_set_to_dict(fs)))
-    back = family_set_from_dict(doc)
-    assert np.array_equal(back[1].elements, fs[1].elements)
-
-
-def test_version_tag_is_checked():
-    doc = family_set_to_dict(r_set())
+def test_version_tag_is_checked(tmp_path):
+    doc = _document(r_set())
     doc["format_version"] = "museb-0"
     with pytest.raises(FileFormatError):
-        family_set_from_dict(doc)
+        _load_document(tmp_path, doc)
     del doc["format_version"]
     with pytest.raises(FileFormatError):
-        family_set_from_dict(doc)
+        _load_document(tmp_path, doc)
 
 
-def test_malformed_documents_are_rejected():
+def test_malformed_documents_are_rejected(tmp_path):
     with pytest.raises(FileFormatError):
-        family_set_from_dict([])
-    doc = family_set_to_dict(r_set())
+        _load_document(tmp_path, [])
+    doc = _document(r_set())
     doc.pop("bases")
     with pytest.raises(FileFormatError):
-        family_set_from_dict(doc)
+        _load_document(tmp_path, doc)
 
-    doc = family_set_to_dict(r_set())
+    doc = _document(r_set())
     doc["bases"][0] = doc["bases"][0][:3]  # drop half a basis
     with pytest.raises(FileFormatError):
-        family_set_from_dict(doc)
+        _load_document(tmp_path, doc)
 
-    doc = family_set_to_dict(r_set())
+    doc = _document(r_set())
     doc["labels"] = ["only-one"]
     with pytest.raises(FileFormatError):
-        family_set_from_dict(doc)
+        _load_document(tmp_path, doc)
 
-    doc = family_set_to_dict(r_set())
+    doc = _document(r_set())
     doc["bases"][0][0][0][0] = [1.0]  # not a [re, im] pair
     with pytest.raises(FileFormatError):
-        family_set_from_dict(doc)
+        _load_document(tmp_path, doc)
 
     # header fields are JSON integers, never coerced
     for key, val in [("k", 2.7), ("k", "2"), ("k", 2.0), ("k", True), ("d", 2.0), ("dprime", "3")]:
-        doc = family_set_to_dict(r_set())
+        doc = _document(r_set())
         doc[key] = val
         with pytest.raises(FileFormatError, match=f"{key} must be an integer"):
-            family_set_from_dict(doc)
+            _load_document(tmp_path, doc)
 
     # entries are JSON numbers: a string, boolean or null anywhere in one is
     # refused, a boolean among floats (which numpy would read as 0 or 1) too
-    re0 = family_set_to_dict(r_set())["bases"][0][0][0][0][0]
+    re0 = _document(r_set())["bases"][0][0][0][0][0]
     for at, entry in [((0, 0, 0, 0), [repr(re0), False]), ((0, 0, 0, 0), [re0, "0.0"]),
                       ((0, 0, 0, 0), [re0, False]), ((1, 5, 1, 2), [True, 0.0]),
                       ((1, 2, 0, 1), [0.5, True]), ((0, 3, 1, 0), [None, 0.0]),
                       ((0, 3, 1, 0), [0.0, None]), ((0, 0, 0, 0), [True, False])]:
-        doc = family_set_to_dict(r_set())
+        doc = _document(r_set())
         basis, element, row, col = at
         doc["bases"][basis][element][row][col] = entry
         with pytest.raises(FileFormatError, match="entries must be numbers"):
-            family_set_from_dict(doc)
+            _load_document(tmp_path, doc)
 
     # a Weyl basis is mostly exact zeros; a false among them is found too
-    doc = family_set_to_dict(FamilySet((weyl_meb(3, 4),)))
+    doc = _document(FamilySet((weyl_meb(3, 4),)))
     assert doc["bases"][0][5][2][0] == [0.0, 0.0]
     doc["bases"][0][5][2][0] = [0.0, False]
     with pytest.raises(FileFormatError, match="entries must be numbers, got bool"):
-        family_set_from_dict(doc)
+        _load_document(tmp_path, doc)
 
 
 def test_empty_set_is_refused_before_the_file_exists(tmp_path):
@@ -217,8 +240,8 @@ def test_matrix_to_list_matches_per_entry_conversion():
                     [complex(np.pi, -0.0), complex(-1.0, -2.5e-17)]])
     per_entry = [[[float(z.real), float(z.imag)] for z in row] for row in mat]
     # compared as JSON text so that -0.0 and 0.0 count as different
-    assert json.dumps(matrix_to_list(mat)) == json.dumps(per_entry)
-    assert json.dumps(matrix_to_list(mat[None])) == json.dumps([per_entry])
+    assert _dumps_stack(mat) == json.dumps(per_entry)
+    assert _dumps_stack(mat[None]) == json.dumps([per_entry])
 
 
 _BIG = 1.7976931348623157e308  # the largest finite double
@@ -279,7 +302,7 @@ def test_stack_encoder_is_the_json_encoder(data, ndim, transposed):
     x = data.draw(_pooled(shape))
     if transposed:
         x = x.swapaxes(-1, -2)
-    assert _dumps_stack(x) == json.dumps(matrix_to_list(x))
+    assert _dumps_stack(x) == json.dumps(_matrix_to_list(x))
 
 
 @settings(max_examples=60, deadline=None,
@@ -346,7 +369,7 @@ def test_saved_text_is_the_one_shot_encoding(tmp_path):
     fs = FamilySet(tuple(fams))
     path = tmp_path / "set.json"
     save_family_set(fs, path)
-    assert path.read_text(encoding="utf-8") == json.dumps(family_set_to_dict(fs)) + "\n"
+    assert path.read_text(encoding="utf-8") == json.dumps(_document(fs)) + "\n"
     assert [f.label for f in load_family_set(path)] == [f.label for f in fs]
 
 
@@ -372,7 +395,7 @@ _DECOYS = {"format_version": '"museb-0"', "d": '"2"', "dprime": "2.5", "k": "tru
 def _reserialized(draw):
     """The text of a valid document, laid out, ordered and spelled another way."""
     fs = draw(st.sampled_from([r_set, lambda: mub_prime(3), lambda: FamilySet((weyl_meb(3, 4),))]))()
-    doc = family_set_to_dict(fs)
+    doc = _document(fs)
     if draw(st.booleans()):
         del doc["labels"]
     entries = draw(st.sampled_from(["floats", "integers", "-0 integers"]))
@@ -393,14 +416,9 @@ def _reserialized(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_reserialized())
 def test_reader_agrees_with_json_loads_on_reserialized_documents(tmp_path, text):
-    expected = family_set_from_dict(json.loads(text))
     path = tmp_path / "set.json"
     path.write_text(text, encoding="utf-8")
-    back = load_family_set(path)
-    assert (back.d, back.dprime, back.k) == (expected.d, expected.dprime, expected.k)
-    assert [f.label for f in back] == [f.label for f in expected]
-    assert len(back) == len(expected)
-    assert all(_same_bits(a.elements, b.elements) for a, b in zip(back, expected))
+    assert _contents(load_family_set(path)) == _json_parse(text)
 
 
 def test_load_holds_the_text_and_the_arrays_not_the_json_tree(tmp_path):
@@ -427,7 +445,7 @@ def test_load_is_bounded_by_its_arrays_not_its_text(tmp_path, indent):
     if indent is None:
         save_family_set(fs, path)
     else:
-        path.write_text(json.dumps(family_set_to_dict(fs), indent=indent), encoding="utf-8")
+        path.write_text(json.dumps(_document(fs), indent=indent), encoding="utf-8")
     tracemalloc.start()
     try:
         back = load_family_set(path)
@@ -479,7 +497,7 @@ def _malformed_r_set_files():
     The cases after not_utf8 reach the reader's own walk over the punctuation
     of the document, its bases and each basis.
     """
-    text = json.dumps(family_set_to_dict(r_set()))
+    text = json.dumps(_document(r_set()))
     doc = json.loads(text)
     mixed = json.loads(text)
     mixed["bases"][0][1] = mixed["bases"][0][1][:1]  # one 1 x 3 matrix among 2 x 3 ones
@@ -489,6 +507,8 @@ def _malformed_r_set_files():
     number_element["bases"][0][3] = 0.5
     transposed = json.loads(text)  # a 3 x 2 matrix among 2 x 3 ones: as many entries, two shapes
     transposed["bases"][1][2] = [list(col) for col in zip(*transposed["bases"][1][2])]
+    stacked = json.loads(text)
+    stacked["bases"][0][2] = [stacked["bases"][0][2]]  # one element wrapped in one more list
     deep = "[" * 100_000 + "]" * 100_000
     assert text.count("]]], [[[") > 1  # the first one sits between two elements of basis 0
     return {
@@ -508,6 +528,7 @@ def _malformed_r_set_files():
         "missing_comma_between_elements": text.replace("]]], [[[", "]]] [[[", 1).encode(),
         "number_for_a_key": text.replace('"d": 2', '2: 2', 1).encode(),
         "element_shapes_differ": json.dumps(transposed).encode(),
+        "element_a_stack": json.dumps(stacked).encode(),
     }
 
 
@@ -522,6 +543,14 @@ def test_malformed_files_raise_only_file_format_error(tmp_path, kind):
         load_family_set(path)
 
 
+def test_an_element_that_is_a_stack_is_refused(tmp_path):
+    # each element is parsed as one matrix; a (1, 2, 3) stack in its place is not one
+    path = tmp_path / "bad.json"
+    path.write_bytes(MALFORMED["element_a_stack"])
+    with pytest.raises(FileFormatError, match="expected one matrix"):
+        load_family_set(path)
+
+
 @pytest.mark.parametrize("early, message", [
     (lambda t: t.replace(', "dprime"', ' "dprime"', 1), "Expecting ',' delimiter"),
     (lambda t: t.replace('"d":', '"d"', 1), "Expecting ':' delimiter"),
@@ -531,7 +560,7 @@ def test_malformed_files_raise_only_file_format_error(tmp_path, kind):
 def test_a_late_bad_byte_outranks_an_early_syntax_error(tmp_path, early, message):
     # a whole-file decode meets a bad byte before any syntax error, so a
     # refused file is read to its end; the padding puts the byte windows away
-    text = early(json.dumps(family_set_to_dict(r_set())))
+    text = early(json.dumps(_document(r_set())))
     pad = b" " * (4 * familyfile._CHUNK)
     path = tmp_path / "bad.json"
     path.write_bytes(text[:-1].encode() + pad + text[-1:].encode())
@@ -568,7 +597,7 @@ def _mutate_tree(data, node):
 
 def _fuzzed(data):
     """The bytes of an R1/R2 document with a node of its tree or a few of its bytes changed."""
-    text = json.dumps(family_set_to_dict(r_set()))
+    text = json.dumps(_document(r_set()))
     if data.draw(st.booleans()):
         doc = json.loads(text)
         _mutate_tree(data, doc)
@@ -622,7 +651,6 @@ def test_every_chunk_size_reads_what_one_read_would(tmp_path, chunk, text, data,
     # would still scan as a number
     fields = "".join(f'"x{i}": {json.dumps(v)}, ' for i, v in enumerate(extras))
     text = "{" + fields + text[1:]
-    expected = family_set_from_dict(json.loads(text))
     at = data.draw(st.integers(0, len(text)))
     broken = text[:at] + data.draw(st.sampled_from(["x", ",", "]", "}", '"', "1e", "\n\x00"])) + text[at:]
     files = {"fuzz": _fuzzed(data), "broken": broken.encode(), **MALFORMED}
@@ -637,10 +665,7 @@ def test_every_chunk_size_reads_what_one_read_would(tmp_path, chunk, text, data,
         # the same sets, and the same refusals placed at the same line, column and char
         assert {name: _outcome(tmp_path / f"{name}.json") for name in files} == at_default
     assert all(isinstance(at_default[kind], str) for kind in MALFORMED)
-    assert (back.d, back.dprime, back.k) == (expected.d, expected.dprime, expected.k)
-    assert [f.label for f in back] == [f.label for f in expected]
-    assert len(back) == len(expected)
-    assert all(_same_bits(a.elements, b.elements) for a, b in zip(back, expected))
+    assert _contents(back) == _json_parse(text)
 
 
 def test_numpy_integer_header_round_trips(tmp_path):
