@@ -9,7 +9,9 @@ explicit tolerances and report the worst violation seen, so a failed check
 is as informative as a passed one.  A family built by tensor_families holds
 its two factors and forms its elements on first read.  It is certified
 through its factors: its overlap moduli are products of theirs and so are
-its singular values, so a passed check forms no product-sized array.
+its singular values.  Each stage reads only the extremes of the factors'
+values, so a passed check forms no product-sized array; a failed stage
+forms the product's values once to list its offenders.
 """
 
 from __future__ import annotations
@@ -251,6 +253,20 @@ def _spectrum(f: BasisFamily) -> np.ndarray:
     return sv
 
 
+def _sv_bounds(f: BasisFamily) -> tuple:
+    """(min, max) of the k leading entries of _spectrum(f)'s rows and the max of the rest
+    (0.0 if none), exactly.  A product's are its factors' products when its least leading
+    product is at least its greatest tail product, since then the sort keeps every
+    leading product ahead of every tail product; otherwise, and for a NaN, the sort's."""
+    if f._factors:
+        (lo_a, hi_a, t_a), (lo_b, hi_b, t_b) = map(_sv_bounds, f._factors)
+        lo, tail = lo_a * lo_b, np.maximum(hi_a * t_b, t_a * hi_b)
+        if lo >= tail:  # np.maximum keeps a NaN, which fails this test
+            return lo, hi_a * hi_b, tail
+    sv = _spectrum(f)
+    return sv[:, : f.k].min(), sv[:, : f.k].max(), sv[:, f.k:].max(initial=0.0)
+
+
 def _overlap_gram(e: np.ndarray, f: np.ndarray) -> np.ndarray:
     """All Hilbert-Schmidt inner products Tr(e[a]^dagger f[b]) as one ZGEMM.
 
@@ -266,12 +282,6 @@ def schmidt_number(a, tol: float = 1e-9) -> int:
     _check_tol(tol)
     sv = singular_values(as_matrix(a))
     return int(np.count_nonzero(sv > tol))
-
-
-def _entries(dev: np.ndarray, measured: np.ndarray, tol: float, checks: int,
-             pair: tuple[int, int]) -> VerificationReport:
-    """One stage from its entrywise deviations dev and the values measured."""
-    return _stage(dev.max(initial=0.0), lambda: measured, lambda _: dev, tol, checks, pair)
 
 
 def _stage(worst, measure, deviation, tol: float, checks: int, pair: tuple) -> VerificationReport:
@@ -309,15 +319,18 @@ def check_sebk(family: BasisFamily, tol: float = 1e-9) -> VerificationReport:
     """
     _check_tol(tol)
     n = len(family)
-    small = min(family.d, family.dprime)
+    c = 1.0 / np.sqrt(family.k)
+    lo, hi, tail = _sv_bounds(family)
 
-    sv = _spectrum(family)
-    target = np.zeros(small)
-    target[: family.k] = 1.0 / np.sqrt(family.k)
-    sv_dev = np.abs(sv - target)
-    # one offender per element: its worst singular value
-    worst_sv = np.arange(small) == sv_dev.argmax(axis=1)[:, None]
-    spectrum = _entries(np.where(worst_sv, sv_dev, 0.0), sv, tol, n, (0, 0))
+    def one_per_element(sv):
+        # one offender per element: its worst singular value
+        cols = np.arange(sv.shape[1])
+        sv_dev = np.abs(sv - np.where(cols < family.k, c, 0.0))
+        return np.where(cols == sv_dev.argmax(axis=1)[:, None], sv_dev, 0.0)
+
+    # fl(s - c) is monotone in s, so the worst deviation sits at an extreme; np.max keeps a NaN
+    spectrum = _stage(np.max([abs(lo - c), abs(hi - c), tail]),
+                      lambda: _spectrum(family), one_per_element, tol, n, (0, 0))
 
     diag, off, _ = _self(family)
     diag_dev = np.abs(diag - 1)

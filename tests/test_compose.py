@@ -379,7 +379,7 @@ def test_tensor_families_takes_over_its_fresh_product_array():
 
 
 # run in a fresh interpreter, whose peak RSS is the recipe's alone; formed, the
-# products would take 31 GB and 105 GB.  VmHWM, not ru_maxrss: Linux carries
+# products would take 31 GB, 105 GB and 2.5 TB.  VmHWM, not ru_maxrss: Linux carries
 # the spawning process's peak RSS into the child's ru_maxrss across exec
 TOO_LARGE_TO_FORM = """
 import sys
@@ -396,6 +396,7 @@ print(len(fs), fs.d, fs.dprime, peak_kb)
 @pytest.mark.parametrize("params, want", [
     ((2, 3, 72, 72), (2, 144, 216)),
     ((36, 36, 6, 6), (3, 216, 216)),
+    ((2, 3, 216, 216), (2, 432, 648)),
 ])
 def test_products_too_large_to_form_certify_in_little_memory(params, want):
     env = dict(os.environ)
@@ -407,3 +408,4 @@ def test_products_too_large_to_form_certify_in_little_memory(params, want):
     count, d, dprime, peak_kb = proc.stdout.split()
     assert (int(count), int(d), int(dprime)) == want  # run_recipe returns certified sets only
     assert int(peak_kb) < 500 * 1024
+    assert int(peak_kb) < 128 * 1024

@@ -420,7 +420,8 @@ stage_devs = st.lists(st.one_of(st.floats(min_value=0.0, max_value=1e-6), st.jus
 def test_stage_rule_matches_the_full_offender_scan(values, tol):
     dev = np.array(values).reshape(len(values), 1)
     measured = 1.0 + dev
-    got = verify._entries(dev, measured, tol, dev.size, (0, 1))
+    got = verify._stage(dev.max(initial=0.0), lambda: measured, lambda _: dev, tol, dev.size,
+                        (0, 1))
     passed, worst, offenders, checks = full_stage(dev, measured, tol, dev.size, (0, 1))
     assert (got.passed, got.offenders, got.checks_run) == (passed, offenders, checks)
     assert got.worst_violation == worst or (np.isnan(got.worst_violation) and np.isnan(worst))
@@ -514,7 +515,7 @@ def dense_copy(fs):
     return with_families(fs, lambda f: f.elements)
 
 
-def orthonormal_family(rng, d, dprime, kind):
+def orthonormal_family(rng, d, dprime, kind, k=1):
     n = d * dprime
     if kind == "generic":
         q, _ = np.linalg.qr(random_stack(rng, 1, n, n)[0])
@@ -523,7 +524,8 @@ def orthonormal_family(rng, d, dprime, kind):
         u, _ = np.linalg.qr(random_stack(rng, 1, d, d)[0])
         v, _ = np.linalg.qr(random_stack(rng, 1, dprime, dprime)[0])
         elements = np.einsum("ia,jb->abij", u, v).reshape(n, d, dprime)
-    return BasisFamily(d, dprime, 1, elements)
+    # k is a claim, which a generic family with k > 1 need not meet
+    return BasisFamily(d, dprime, min(k, d, dprime), elements)
 
 
 def factors_of(fs, side):
@@ -581,8 +583,9 @@ leaf_specs = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
 
 def random_product(seed, specs, nest_left):
     rng = np.random.default_rng(seed)
-    sets = [FamilySet(tuple(orthonormal_family(rng, d, dprime, kind) for _ in range(count)))
-            for d, dprime, count, kind in specs]
+    # a spec may end in the k its leaves claim
+    sets = [FamilySet(tuple(orthonormal_family(rng, d, dprime, kind, *k) for _ in range(count)))
+            for d, dprime, count, kind, *k in specs]
     if len(sets) == 2:
         return tensor_families(*sets)
     if nest_left:  # ((a b) c), as example1 nests its factors
@@ -650,12 +653,20 @@ def test_product_certifies_without_forming_its_grams(monkeypatch):
         svd_shapes.append(stack.shape)
         return stacked_svd(stack)
 
-    stacked_svd = verify.stacked_singular_values
+    spectrum_lengths = []
+
+    def recording_spectrum(fam):
+        spectrum_lengths.append(len(fam))
+        return spectrum(fam)
+
+    stacked_svd, spectrum = verify.stacked_singular_values, verify._spectrum
     monkeypatch.setattr(verify, "stacked_singular_values", recording_svd)
+    monkeypatch.setattr(verify, "_spectrum", recording_spectrum)
     shapes = recorded_grams(monkeypatch)
     assert check_museb_set(fs).passed
     assert shapes and max(max(s) for s in shapes) <= 36
     assert svd_shapes and max(s[0] for s in svd_shapes) <= 36
+    assert spectrum_lengths and max(spectrum_lengths) <= 36
 
 
 def prod_family():
@@ -708,6 +719,45 @@ def test_factored_extremes_are_those_of_the_materialized_magnitudes(seed, specs,
         assert on == mags.diagonal().max()
         # |fl(x y)| against fl(|x| |y|): 1.42 + 0.5 eps per product, eps / 2 per modulus
         assert np.all(np.abs(np.abs(diag) - mags.diagonal()) <= 2 * len(specs) * EPS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nest_left=st.booleans(),
+       specs=st.lists(st.tuples(leaf_specs, st.integers(1, 3)).map(lambda s: (*s[0], s[1])),
+                      min_size=2, max_size=3))
+# rank-one leaves: every leading product exceeds every tail product, so the bounds factor
+@example(seed=0, specs=[(2, 2, 1, "rank_one", 1), (3, 3, 1, "rank_one", 1),
+                        (2, 3, 1, "rank_one", 1)], nest_left=True)
+# generic leaves claiming k = 2 of 3 and 1 of 2: some element's leading pair of products
+# is not the product of its factors' leading values, so the bounds sort
+@example(seed=0, specs=[(3, 3, 1, "generic", 2), (2, 2, 1, "generic", 1)], nest_left=False)
+def test_factored_sv_bounds_are_those_of_the_sorted_spectrum(seed, specs, nest_left):
+    for f in random_product(seed, specs, nest_left):
+        sv = verify._spectrum(f)
+        want = sv[:, : f.k].min(), sv[:, : f.k].max(), sv[:, f.k:].max(initial=0.0)
+        assert verify._sv_bounds(f) == want
+
+
+# (0, 0) is a leading singular value; in the 2x2 rank-one leaf, (-1, -1) is a tail one
+@pytest.mark.parametrize("at", [(0, 0), (-1, -1)])
+@pytest.mark.parametrize("build", [
+    lambda: random_product(1, [(2, 2, 2, "rank_one"), (2, 3, 2, "rank_one")], True),
+    lambda: mub_prime(5),
+])
+def test_a_nan_singular_value_fails_the_spectrum_stage(monkeypatch, build, at):
+    fs = build()
+    poisoned = leaf_families(fs[0])[0] if fs[0]._factors else fs[0]
+    svd = verify.stacked_singular_values
+
+    def nan_svd(stack):
+        sv = svd(stack)
+        if stack is poisoned.elements:
+            sv[at] = np.nan
+        return sv
+
+    monkeypatch.setattr(verify, "stacked_singular_values", nan_svd)
+    for rep in (check_sebk(fs[0]), check_museb_set(fs)):
+        assert not rep.passed and np.isnan(rep.worst_violation)
 
 
 @settings(max_examples=40, deadline=None)
