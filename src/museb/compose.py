@@ -70,14 +70,12 @@ def transpose_family(s: FamilySet) -> FamilySet:
     """
     if len(s) == 0:
         raise EmptyInput("transpose_family needs at least one family")
-    families = []
-    for fam in s:
-        elements = fam.elements.transpose(0, 2, 1)  # BasisFamily makes the one copy
-        label = f"{fam.label}^T" if fam.label else ""
-        families.append(
-            BasisFamily(d=fam.dprime, dprime=fam.d, k=fam.k, elements=elements, label=label)
-        )
-    return FamilySet(tuple(families))
+    return FamilySet(tuple(
+        # copy() lays the transposed elements out afresh in C order, the one copy made
+        BasisFamily._taking(fam.dprime, fam.d, fam.k, f"{fam.label}^T" if fam.label else "",
+                            fam.elements.transpose(0, 2, 1).copy())
+        for fam in s
+    ))
 
 
 def _fold(parts, build: Callable[[int], FamilySet]) -> FamilySet:
@@ -105,7 +103,7 @@ def mub_composite(q: int) -> FamilySet:
 _LEAVES: dict[tuple[int, int], Callable[[], FamilySet]] = {
     # bases of C^1 (x) C^1; every pair is vacuously unbiased at 1/sqrt(1)
     (1, 1): lambda: FamilySet(tuple(
-        BasisFamily(d=1, dprime=1, k=1, elements=np.ones((1, 1, 1), dtype=complex), label="triv")
+        BasisFamily._taking(1, 1, 1, "triv", np.ones((1, 1, 1), dtype=complex))
         for _ in range(3)
     )),
     (2, 2): mumeb_qubit,

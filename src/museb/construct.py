@@ -152,12 +152,9 @@ def weyl_meb(d: int, dprime: int) -> BasisFamily:
         raise DimensionOrder(f"construction needs d <= d', got d={d}, d'={dprime}")
     omega = np.exp(2j * np.pi / d)
     m, n, p = np.ogrid[:dprime, :d, :d]
-    out = np.zeros((dprime, d, d, dprime), dtype=complex)
-    out[m, n, p, (p + m) % dprime] = omega ** (n * p) / np.sqrt(d)
-    return BasisFamily(
-        d=d, dprime=dprime, k=d, elements=out.reshape(d * dprime, d, dprime),
-        label=f"weyl({d},{dprime})",
-    )
+    out = np.zeros((d * dprime, d, dprime), dtype=complex)
+    out.reshape(dprime, d, d, dprime)[m, n, p, (p + m) % dprime] = omega ** (n * p) / np.sqrt(d)
+    return BasisFamily._taking(d, dprime, d, f"weyl({d},{dprime})", out)
 
 
 # the (2, 3) Weyl stack that c23_family mixes; built once, read-only
@@ -192,7 +189,7 @@ def c23_family(mixer, label: str = "") -> BasisFamily:
     the Weyl basis itself.  The result is orthonormal exactly when the
     mixer is unitary.
     """
-    return BasisFamily(d=2, dprime=3, k=2, elements=_c23_elements(mixer), label=label)
+    return BasisFamily._taking(2, 3, 2, label, _c23_elements(mixer))
 
 
 def c23_partner(theta: ThetaParams, tol: float = 1e-9) -> tuple[BasisFamily, BasisFamily]:
@@ -215,29 +212,29 @@ def c23_partner(theta: ThetaParams, tol: float = 1e-9) -> tuple[BasisFamily, Bas
     return phi, psi
 
 
-def _vectors_as_rows(vectors: np.ndarray, label: str) -> BasisFamily:
-    # each vector of C^p becomes a 1 x p matrix, a Schmidt-rank-1 element
-    n, p = vectors.shape
-    return BasisFamily(d=1, dprime=p, k=1, elements=vectors.reshape(n, 1, p), label=label)
-
-
 def mub_prime(p: int) -> FamilySet:
     """The standard p + 1 mutually unbiased bases of C^p for prime p.
 
     For p = 2 these are the frozen T1, T2, T3 families from the catalog.
     For odd p, basis b has vector j with amplitude omega^(b s^2 + j s)/sqrt(p)
-    at position s, preceded by the computational basis.
+    at position s, preceded by the computational basis.  Every amplitude is
+    looked up in one table of the p scaled roots omega^e/sqrt(p), so each
+    basis is built as its own (p, 1, p) array of 1 x p rows and nothing
+    larger than one basis is made beside the set.
     """
     p = _require_int("p", p)
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p == 2:
         return FamilySet((catalog("T1"), catalog("T2"), catalog("T3")))
-    omega = np.exp(2j * np.pi / p)
-    b, j, s = np.ogrid[:p, :p, :p]
-    quads = omega ** ((b * s * s + j * s) % p) / np.sqrt(p)
-    families = [_vectors_as_rows(np.eye(p, dtype=complex), label=f"mub{p}.standard")]
-    families += [_vectors_as_rows(v, label=f"mub{p}.quad{i}") for i, v in enumerate(quads)]
+    roots = np.exp(2j * np.pi / p) ** np.arange(p) / np.sqrt(p)
+    j, s = np.ogrid[:p, :p]
+    # each vector of C^p is a 1 x p matrix, a Schmidt-rank-1 element
+    families = [BasisFamily._taking(1, p, 1, f"mub{p}.standard",
+                                    np.eye(p, dtype=complex).reshape(p, 1, p))]
+    families += [BasisFamily._taking(1, p, 1, f"mub{p}.quad{b}",
+                                     roots[((b * s * s + j * s) % p)[:, None, :]])
+                 for b in range(p)]
     return FamilySet(tuple(families))
 
 
@@ -261,7 +258,7 @@ def mumeb_qubit() -> FamilySet:
     for t in range(3):
         frame = np.linalg.matrix_power(_QUBIT_FRAME, t)
         mats = np.array([frame @ pauli for pauli in (eye, x, y, z)]) / _S2
-        families.append(BasisFamily(d=2, dprime=2, k=2, elements=mats, label=f"frame{t}"))
+        families.append(BasisFamily._taking(2, 2, 2, f"frame{t}", mats))
     return FamilySet(tuple(families))
 
 
@@ -365,7 +362,7 @@ _EQ17_KETS = [
 def _kets_to_family(kets, scale: float, label: str) -> BasisFamily:
     # amplitude |p>|p'> sits at flat index 3p + p': each ket is a row-major 2x3 matrix
     elements = np.array(kets, dtype=complex).reshape(6, 2, 3) / scale
-    return BasisFamily(d=2, dprime=3, k=2, elements=elements, label=label)
+    return BasisFamily._taking(2, 3, 2, label, elements)
 
 
 def _u_matrix() -> np.ndarray:
@@ -410,19 +407,19 @@ def _othermu_matrix() -> np.ndarray:
 
 
 _CATALOG_BUILDERS = {
-    "R1": lambda: BasisFamily(2, 3, 2, _r1_elements(), label="R1"),
-    "R2": lambda: BasisFamily(2, 3, 2, _r2_elements(), label="R2"),
-    "S1": lambda: BasisFamily(3, 3, 3, _s1_elements(), label="S1"),
-    "S2": lambda: BasisFamily(3, 3, 3, _s2_elements(), label="S2"),
-    "S3": lambda: BasisFamily(3, 3, 3, _s3_elements(), label="S3"),
-    "T1": lambda: BasisFamily(
-        1, 2, 1, np.array([[[0, 1]], [[1, 0]]], dtype=complex), label="T1"
+    "R1": lambda: BasisFamily._taking(2, 3, 2, "R1", _r1_elements()),
+    "R2": lambda: BasisFamily._taking(2, 3, 2, "R2", _r2_elements()),
+    "S1": lambda: BasisFamily._taking(3, 3, 3, "S1", _s1_elements()),
+    "S2": lambda: BasisFamily._taking(3, 3, 3, "S2", _s2_elements()),
+    "S3": lambda: BasisFamily._taking(3, 3, 3, "S3", _s3_elements()),
+    "T1": lambda: BasisFamily._taking(
+        1, 2, 1, "T1", np.array([[[0, 1]], [[1, 0]]], dtype=complex)
     ),
-    "T2": lambda: BasisFamily(
-        1, 2, 1, np.array([[[1, 1]], [[1, -1]]], dtype=complex) / _S2, label="T2"
+    "T2": lambda: BasisFamily._taking(
+        1, 2, 1, "T2", np.array([[[1, 1]], [[1, -1]]], dtype=complex) / _S2
     ),
-    "T3": lambda: BasisFamily(
-        1, 2, 1, np.array([[[1, 1j]], [[1, -1j]]], dtype=complex) / _S2, label="T3"
+    "T3": lambda: BasisFamily._taking(
+        1, 2, 1, "T3", np.array([[[1, 1j]], [[1, -1j]]], dtype=complex) / _S2
     ),
     "U": _u_matrix,
     "V": _v_matrix,

@@ -11,12 +11,12 @@ its text is exactly json.dumps of the entry lists.  load_family_set reads
 the file a chunk of text at a time, holding only the unread part, and walks
 its punctuation down to the element matrices; json's own scanner decodes
 every key, header value and single element, so the grammar, the values and
-the refusals are json's.  Each element becomes a float array as soon as it
-is scanned, and each basis's stack is taken by its family without a copy,
-so the load holds the arrays plus one window of text, never the whole file
-nor the tree of Python floats that json.load would build.  Memoising float
-parsing by number text doubled the load time and peak memory of files
-whose values do not repeat.
+the refusals are json's.  Each element is written into its basis's one
+stack as soon as it is scanned, and each stack is taken by its family
+without a copy, so the load holds the arrays plus one window of text, never
+the whole file nor the tree of Python floats that json.load would build.
+Memoising float parsing by number text doubled the load time and peak
+memory of files whose values do not repeat.
 """
 
 from __future__ import annotations
@@ -188,6 +188,7 @@ class _Reader:
 
     def __init__(self, fh: TextIO) -> None:
         self.fh, self.text, self.eof = fh, "", False
+        self.size = os.fstat(fh.fileno()).st_size  # the file's length in bytes
         self.pos = self.line = self.column = 0  # where text[0] sits: char, line and column
 
     def read(self, scan: Callable[[str, int], tuple[Any, int]], i: int) -> tuple[Any, int]:
@@ -226,14 +227,15 @@ class _Reader:
         return f"{exc.msg}: line {exc.lineno + self.line} column {column} (char {exc.pos + self.pos})"
 
 
-def _walk(r: _Reader, i: int, close: str, item: Callable[[_Reader, int], tuple[Any, int]]
-          ) -> tuple[list[Any], int]:
-    """The comma-separated items after the bracket at r.text[i], up to close.
+def _walk(r: _Reader, i: int, close: str, item: Callable[[_Reader, int], tuple[Any, int]],
+          items: Any = None) -> tuple[Any, int]:
+    """The comma-separated items after the bracket at r.text[i], up to close,
+    appended in turn to items (a new list by default).
 
     item(r, start) reads the item whose first character is r.text[start] and
     returns it with the index just past it.
     """
-    items = []
+    items = [] if items is None else items
     c, i = r.read(_next, i + 1)
     if c == close:
         return items, i + 1
@@ -260,17 +262,54 @@ def _element(r: _Reader, i: int) -> tuple[np.ndarray | FileFormatError, int]:
         return exc, end
 
 
+class _Stack:
+    """A basis's walked elements, each written into one stack as it is scanned.
+
+    The first element fixes r x c, and with it the r*c elements of a basis of
+    that shape: they go into one (r*c, r, c) array, allocated only if the file
+    is long enough to hold them at five characters an entry.  Elements past
+    the array's end are checked and counted, not stored.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size  # the file's length in bytes
+        self.n, self.shape, self.ragged = 0, (), False
+        self.stack: np.ndarray | None = None
+        self.refusal: FileFormatError | None = None
+
+    def append(self, element: np.ndarray | FileFormatError) -> None:
+        if isinstance(element, FileFormatError):
+            self.refusal = self.refusal or element  # the first one is the basis's refusal
+            return
+        if self.refusal or self.ragged:
+            return  # refused already: only an element's refusal can still change which
+        if not self.n:
+            self.shape = element.shape
+            if 5 * element.size ** 2 <= self.size:
+                self.stack = np.empty((element.size, *self.shape), dtype=complex)
+        elif element.shape != self.shape:
+            self.ragged = True
+            return
+        if self.stack is not None and self.n < len(self.stack):
+            self.stack[self.n] = element
+        self.n += 1
+
+    def basis(self) -> np.ndarray | FileFormatError:
+        """The stack, or the refusal its elements earned."""
+        if self.refusal or self.ragged or not self.n:
+            return self.refusal or FileFormatError(_NOT_A_BASIS)
+        if self.stack is not None and self.n == len(self.stack):
+            return self.stack
+        # a count no basis of these elements has: a stand-in of its shape, which
+        # BasisFamily refuses by that shape after checking the header
+        return np.broadcast_to(complex(0), (self.n, *self.shape))
+
+
 def _basis(r: _Reader, i: int) -> tuple[np.ndarray | FileFormatError, int]:
     if r.text[i:i + 1] != "[":
         return FileFormatError(_NOT_A_BASIS), r.read(_value, i)[1]
-    elements, end = _walk(r, i, "]", _element)
-    refusal = next((e for e in elements if isinstance(e, FileFormatError)), None)
-    if refusal is not None:
-        return refusal, end
-    try:
-        return np.stack(elements), end
-    except ValueError:  # no elements, or elements of two shapes
-        return FileFormatError(_NOT_A_BASIS), end
+    elements, end = _walk(r, i, "]", _element, _Stack(r.size))
+    return elements.basis(), end
 
 
 def _field(r: _Reader, i: int) -> tuple[tuple[str, Any], int]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -242,28 +243,44 @@ def _self(f: BasisFamily) -> tuple:
     return gram.diagonal().copy(), mags.max(), on
 
 
-def _spectrum(f: BasisFamily) -> np.ndarray:
-    """Each element's singular values, descending; a product's are its factors' products."""
+def _spectrum(f: BasisFamily, spectrum: Callable | None = None) -> np.ndarray:
+    """Each element's singular values, descending; a product's are its factors' products,
+    each factor's got from spectrum (by default this function)."""
     if not f._factors:
         return stacked_singular_values(f.elements)
-    a, b = (_spectrum(x) for x in f._factors)
+    a, b = map(spectrum or _spectrum, f._factors)
     sv = np.zeros((len(f), min(f.d, f.dprime)))
     prods = (a[:, None, :, None] * b[None, :, None, :]).reshape(len(f), -1)
     sv[:, : prods.shape[1]] = np.sort(prods, axis=1)[:, ::-1]
     return sv
 
 
-def _sv_bounds(f: BasisFamily) -> tuple:
+class _Spectra:
+    """_spectrum, keeping each family's result: one check through it decomposes each
+    leaf once and sorts each product at most once.  Nothing it keeps refers back to
+    it, so its arrays go as soon as the check drops it."""
+
+    def __init__(self) -> None:
+        self.kept: dict[int, np.ndarray] = {}  # by id: the families outlive the check
+
+    def __call__(self, f: BasisFamily) -> np.ndarray:
+        if id(f) not in self.kept:
+            self.kept[id(f)] = _spectrum(f, self)
+        return self.kept[id(f)]
+
+
+def _sv_bounds(f: BasisFamily, spectrum: Callable | None = None) -> tuple:
     """(min, max) of the k leading entries of _spectrum(f)'s rows and the max of the rest
     (0.0 if none), exactly.  A product's are its factors' products when its least leading
     product is at least its greatest tail product, since then the sort keeps every
-    leading product ahead of every tail product; otherwise, and for a NaN, the sort's."""
+    leading product ahead of every tail product; otherwise, and for a NaN, the sort's,
+    got from spectrum (by default _spectrum)."""
     if f._factors:
-        (lo_a, hi_a, t_a), (lo_b, hi_b, t_b) = map(_sv_bounds, f._factors)
+        (lo_a, hi_a, t_a), (lo_b, hi_b, t_b) = (_sv_bounds(x, spectrum) for x in f._factors)
         lo, tail = lo_a * lo_b, np.maximum(hi_a * t_b, t_a * hi_b)
         if lo >= tail:  # np.maximum keeps a NaN, which fails this test
             return lo, hi_a * hi_b, tail
-    sv = _spectrum(f)
+    sv = (spectrum or _spectrum)(f)
     return sv[:, : f.k].min(), sv[:, : f.k].max(), sv[:, f.k:].max(initial=0.0)
 
 
@@ -310,6 +327,24 @@ def _merge(parts: list[tuple[int, int, VerificationReport]]) -> VerificationRepo
     )
 
 
+def _spectrum_stage(family: BasisFamily, tol: float) -> VerificationReport:
+    """check_sebk's first stage: every element's singular values against k copies of
+    1/sqrt(k) and zeros.  The spectra it computes are kept for this stage alone."""
+    c = 1.0 / np.sqrt(family.k)
+    spectrum = _Spectra()
+    lo, hi, tail = _sv_bounds(family, spectrum)
+
+    def one_per_element(sv):
+        # one offender per element: its worst singular value
+        cols = np.arange(sv.shape[1])
+        sv_dev = np.abs(sv - np.where(cols < family.k, c, 0.0))
+        return np.where(cols == sv_dev.argmax(axis=1)[:, None], sv_dev, 0.0)
+
+    # fl(s - c) is monotone in s, so the worst deviation sits at an extreme; np.max keeps a NaN
+    return _stage(np.max([abs(lo - c), abs(hi - c), tail]), lambda: spectrum(family),
+                  one_per_element, tol, len(family), (0, 0))
+
+
 def check_sebk(family: BasisFamily, tol: float = 1e-9) -> VerificationReport:
     """Certify that a family is an orthonormal basis of uniform Schmidt rank.
 
@@ -319,18 +354,7 @@ def check_sebk(family: BasisFamily, tol: float = 1e-9) -> VerificationReport:
     """
     _check_tol(tol)
     n = len(family)
-    c = 1.0 / np.sqrt(family.k)
-    lo, hi, tail = _sv_bounds(family)
-
-    def one_per_element(sv):
-        # one offender per element: its worst singular value
-        cols = np.arange(sv.shape[1])
-        sv_dev = np.abs(sv - np.where(cols < family.k, c, 0.0))
-        return np.where(cols == sv_dev.argmax(axis=1)[:, None], sv_dev, 0.0)
-
-    # fl(s - c) is monotone in s, so the worst deviation sits at an extreme; np.max keeps a NaN
-    spectrum = _stage(np.max([abs(lo - c), abs(hi - c), tail]),
-                      lambda: _spectrum(family), one_per_element, tol, n, (0, 0))
+    spectrum = _spectrum_stage(family, tol)
 
     diag, off, _ = _self(family)
     diag_dev = np.abs(diag - 1)

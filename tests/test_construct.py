@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -25,8 +28,10 @@ from museb import (
     singular_values,
     solve_theta,
     theta_mixing_matrix,
+    transpose_family,
     weyl_meb,
 )
+from museb import compose
 from museb.construct import _QUBIT_FRAME
 
 SQ2 = np.sqrt(2.0)
@@ -71,6 +76,25 @@ def mub_prime_oracle(p):
     return [vecs.reshape(p, 1, p) for vecs in bases]
 
 
+# whole-array oracles: each formula evaluated over its full index grid in one go
+
+def weyl_grid_oracle(d, dprime):
+    # one fancy-indexed write into a zeroed (d', d, d, d') array, then a copy
+    omega = np.exp(2j * np.pi / d)
+    m, n, p = np.ogrid[:dprime, :d, :d]
+    out = np.zeros((dprime, d, d, dprime), dtype=complex)
+    out[m, n, p, (p + m) % dprime] = omega ** (n * p) / np.sqrt(d)
+    return np.array(out.reshape(d * dprime, d, dprime))
+
+
+def mub_prime_cube_oracle(p):
+    # every amplitude of the p bases as one (p, p, p) cube of powers
+    omega = np.exp(2j * np.pi / p)
+    b, j, s = np.ogrid[:p, :p, :p]
+    quads = omega ** ((b * s * s + j * s) % p) / np.sqrt(p)
+    return [np.eye(p, dtype=complex).reshape(p, 1, p)] + [v.reshape(p, 1, p) for v in quads]
+
+
 # ---------------------------------------------------------------- weyl_meb
 
 def test_weyl_23_matches_frozen_family():
@@ -81,6 +105,17 @@ def test_weyl_is_bit_identical_to_the_loop_oracle():
     pairs = [(d, dp) for d in range(1, 9) for dp in range(d, 9)] + [(32, 32)]
     for d, dprime in pairs:
         assert np.array_equal(weyl_meb(d, dprime).elements, weyl_oracle(d, dprime)), (d, dprime)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_weyl_is_bit_identical_to_the_grid_oracle():
+    for d in range(1, 13):
+        for dprime in range(d, 13):
+            got = weyl_meb(d, dprime).elements
+            assert same_bits(got, weyl_grid_oracle(d, dprime)), (d, dprime)
 
 
 def test_weyl_requires_ordered_dimensions():
@@ -237,6 +272,14 @@ def test_mub_prime_is_bit_identical_to_the_loop_oracle():
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), p
 
 
+def test_mub_prime_is_bit_identical_to_the_cube_oracle():
+    for p in (n for n in range(3, 98) if is_prime(n)):
+        got = [fam.elements for fam in mub_prime(p)]
+        want = mub_prime_cube_oracle(p)
+        assert len(got) == len(want) == p + 1
+        assert all(same_bits(g, w) for g, w in zip(got, want)), p
+
+
 def test_mub_prime_rejects_composites():
     for n in (1, 4, 6, 9):
         with pytest.raises(NotPrime):
@@ -372,3 +415,41 @@ def test_frozen_pair_is_mutually_unbiased():
     rep = check_museb_set(fs)
     assert rep.passed
     assert rep.worst_violation < 1e-12
+
+
+# ------------------------------------------------ the arrays the builders hand over
+
+def _built_families():
+    five, qubit = mub_prime(5), mumeb_qubit()
+    sets = [mub_prime(2), mub_prime(3), mub_prime(7), mumeb_qubit(), five, transpose_family(five),
+            qubit, transpose_family(qubit), compose._known_set(1, 1),
+            FamilySet(c23_partner(ThetaParams(0.0, 0.0, 1.5 * PI)))]
+    fams = [fam for fs in sets for fam in fs]
+    fams += [weyl_meb(2, 3), weyl_meb(2, 3), weyl_meb(3, 5), c23_family(np.eye(2)),
+             c23_family(theta_mixing_matrix(ThetaParams(0.3, 0.2, solve_theta(0.3, 0.2))))]
+    fams += [catalog(name) for name in ("R1", "R2", "S1", "S2", "S3", "T1", "T2", "T3",
+                                        "eq16", "eq17")]
+    return fams
+
+
+def test_built_families_share_no_memory_and_are_read_only():
+    fams = _built_families()
+    assert all(not fam.elements.flags.writeable for fam in fams)
+    for f, g in itertools.combinations(fams, 2):
+        assert not np.shares_memory(f.elements, g.elements), (f.label, g.label)
+
+
+@pytest.mark.parametrize("build, args", [(mub_prime, (53,)), (mub_prime, (101,)),
+                                         (weyl_meb, (24, 24))])
+def test_dense_builders_peak_near_their_output(build, args):
+    # each builds its arrays once and hands them over: no full-size temporary
+    # beside them, and no copy by the family
+    build(*args)
+    tracemalloc.start()
+    try:
+        out = build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fams = out if isinstance(out, FamilySet) else [out]
+    assert peak < 1.2 * sum(fam.elements.nbytes for fam in fams)

@@ -421,6 +421,75 @@ def test_reader_agrees_with_json_loads_on_reserialized_documents(tmp_path, text)
     assert _contents(load_family_set(path)) == _json_parse(text)
 
 
+def _edited_r_set(edit):
+    doc = _document(r_set())
+    edit(doc, doc["bases"][0])
+    return doc
+
+
+_ROW = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]]  # a 1 x 3 matrix among the 2 x 3 ones
+_INCONSISTENT = "stored basis is inconsistent: "
+
+
+# (edit of the R set's document, the exact refusal): each basis is read into one
+# stack, yet a wrong count, a ragged basis and a bad entry are refused as when
+# the whole list of elements is stacked at once
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc, b: b.pop(), _INCONSISTENT + "expected elements of shape (6, 2, 3), got (5, 2, 3)"),
+    (lambda doc, b: b.append(b[0]),
+     _INCONSISTENT + "expected elements of shape (6, 2, 3), got (7, 2, 3)"),
+    (lambda doc, b: b.extend(b[:]),
+     _INCONSISTENT + "expected elements of shape (6, 2, 3), got (12, 2, 3)"),
+    (lambda doc, b: doc.update(k=5, bases=[b + b[:1], doc["bases"][1]]),
+     _INCONSISTENT + "k must sit in [1, 2], got 5"),
+    (lambda doc, b: b.extend([b[0], [_ROW]]), familyfile._NOT_A_BASIS),
+    (lambda doc, b: b.insert(0, [_ROW]), familyfile._NOT_A_BASIS),
+    (lambda doc, b: b.clear(), familyfile._NOT_A_BASIS),
+    (lambda doc, b: b.extend([[_ROW], b[0], [[["0.0", 0.0]] * 3] * 2]),
+     "matrix entries must be numbers, got str"),
+    (lambda doc, b: b.extend([b[0], [[[0.0, 0.0]] * 3, [[0.0]] * 3]]),
+     "matrix entries must be [real, imag] pairs"),
+], ids=["one_short", "one_over", "twice_over", "over_and_bad_k", "over_then_ragged",
+        "ragged_first", "empty", "ragged_then_bad_entry", "over_then_bad_pair"])
+def test_each_stacked_basis_keeps_its_refusal(tmp_path, edit, message):
+    with pytest.raises(FileFormatError) as info:
+        _load_document(tmp_path, _edited_r_set(edit))
+    assert str(info.value).startswith(message)
+
+
+def test_an_element_too_large_for_its_file_is_counted_not_stacked(tmp_path):
+    # a 100 x 100 first element promises 10,000 such elements, 1.6 GB: more than
+    # this 0.1 MB file could spell out at five characters an entry, so no stack
+    # is allocated; scanning the one element takes about 2 MB
+    doc = _document(r_set())
+    doc["bases"][0] = [[[[0.0, 0.0]] * 100] * 100]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError, match=r"got \(1, 100, 100\)"):
+            load_family_set(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_one_large_basis_loads_into_one_array(tmp_path):
+    # the 2.6 MB basis is scanned into the array the family takes, with no list
+    # of its elements beside it: the peak is the array and about one window of text
+    path = tmp_path / "weyl20.json"
+    save_family_set(FamilySet((weyl_meb(20, 20),)), path)
+    tracemalloc.start()
+    try:
+        fs = load_family_set(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(fs[0].elements, weyl_meb(20, 20).elements)
+    assert peak < fs[0].elements.nbytes + 10 * familyfile._CHUNK
+
+
 def test_load_holds_the_text_and_the_arrays_not_the_json_tree(tmp_path):
     # json.load of this file peaks at about 29 MB traced: a Python float and
     # list slot for each of its 303,372 numbers
@@ -461,11 +530,11 @@ def test_load_is_bounded_by_its_arrays_not_its_text(tmp_path, indent):
 # ru_maxrss would not do here: Linux carries the spawning process's peak RSS
 # into the child's across exec, so under pytest it reads pytest's own peak;
 # VmHWM is the peak of the interpreter's own address space
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
-def test_cli_verify_rss_rises_by_less_than_half_the_file(tmp_path):
-    # a fresh interpreter, so its peak RSS so far is the save's; the verify
-    # that follows may lift it by its arrays and a window, not by the file
-    code = """
+def _fresh_interpreter(tmp_path, code):
+    """The integers on the last line code prints, run in a fresh interpreter in
+    tmp_path after importing gc, os, museb and museb.cli and defining peak(),
+    the VmHWM so far in bytes."""
+    prelude = """
 import gc, os
 import museb
 from museb import cli
@@ -473,22 +542,44 @@ from museb import cli
 def peak():
     with open('/proc/self/status') as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:')) * 1024
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", prelude + code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return list(map(int, proc.stdout.splitlines()[-1].split()))
 
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
+def test_cli_verify_rss_rises_by_less_than_half_the_file(tmp_path):
+    # a fresh interpreter, so its peak RSS so far is the save's; the verify
+    # that follows may lift it by its arrays and a window, not by the file
+    exit_code, rise, size = _fresh_interpreter(tmp_path, """
 museb.save_family_set(museb.mub_prime(53), 'mub53.json')
 gc.collect()
 before = peak()
 code = cli.main(['verify', 'mub53.json'])
 print(code, peak() - before, os.path.getsize('mub53.json'))
-"""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    exit_code, rise, size = map(int, proc.stdout.splitlines()[-1].split())
+""")
     assert exit_code == 0
     assert rise < size / 2
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
+def test_cli_generate_rss_rises_by_less_than_half_again_the_arrays(tmp_path):
+    # the set is built once and written a basis at a time, so generating it
+    # lifts the peak by its arrays and little more
+    exit_code, rise, arrays = _fresh_interpreter(tmp_path, """
+gc.collect()
+before = peak()
+code = cli.main(['generate', 'mub', '53', '--out', 'mub53.json'])
+rise = peak() - before
+print(code, rise, sum(fam.elements.nbytes for fam in museb.load_family_set('mub53.json')))
+""")
+    assert exit_code == 0
+    assert rise < 1.5 * arrays
 
 
 def _malformed_r_set_files():

@@ -655,9 +655,9 @@ def test_product_certifies_without_forming_its_grams(monkeypatch):
 
     spectrum_lengths = []
 
-    def recording_spectrum(fam):
+    def recording_spectrum(fam, *factor_spectrum):
         spectrum_lengths.append(len(fam))
-        return spectrum(fam)
+        return spectrum(fam, *factor_spectrum)
 
     stacked_svd, spectrum = verify.stacked_singular_values, verify._spectrum
     monkeypatch.setattr(verify, "stacked_singular_values", recording_svd)
@@ -758,6 +758,48 @@ def test_a_nan_singular_value_fails_the_spectrum_stage(monkeypatch, build, at):
     monkeypatch.setattr(verify, "stacked_singular_values", nan_svd)
     for rep in (check_sebk(fs[0]), check_museb_set(fs)):
         assert not rep.passed and np.isnan(rep.worst_violation)
+
+
+def recorded_spectra(monkeypatch):
+    # the ids of the stacks decomposed and of the families whose spectra were formed
+    svds, spectra = [], []
+    svd, spectrum = verify.stacked_singular_values, verify._spectrum
+
+    def recording_svd(stack):
+        svds.append(id(stack))
+        return svd(stack)
+
+    def recording_spectrum(fam, *factor_spectrum):
+        spectra.append(id(fam))
+        return spectrum(fam, *factor_spectrum)
+
+    monkeypatch.setattr(verify, "stacked_singular_values", recording_svd)
+    monkeypatch.setattr(verify, "_spectrum", recording_spectrum)
+    return svds, spectra
+
+
+# generic leaves, the first claiming k = 2 of 3: the bounds sort and the stage fails
+@pytest.mark.parametrize("specs, nest_left", [
+    ([(3, 3, 1, "generic", 2), (2, 2, 1, "generic")], False),
+    ([(3, 3, 1, "generic", 2), (2, 2, 1, "generic"), (1, 2, 1, "generic")], True),
+    ([(3, 3, 1, "generic", 2), (2, 2, 1, "generic"), (1, 2, 1, "generic")], False),
+])
+def test_a_failing_product_decomposes_each_leaf_once_and_sorts_once(monkeypatch, specs,
+                                                                     nest_left):
+    fam = random_product(0, specs, nest_left)[0]
+    leaves = leaf_families(fam)
+    # the same check with nothing kept between its steps: each step forms its own spectra
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_Spectra", lambda: verify._spectrum)
+        svds, spectra = recorded_spectra(mp)
+        want = check_sebk(fam)
+    assert len(svds) >= 3 * len(leaves) and spectra.count(id(fam)) == 2
+    svds, spectra = recorded_spectra(monkeypatch)
+    got = check_sebk(fam)
+    assert not got.passed and got.offenders
+    assert got == want
+    assert sorted(svds) == sorted(id(leaf.elements) for leaf in leaves)
+    assert spectra.count(id(fam)) == 1 and len(spectra) == len(set(spectra))
 
 
 @settings(max_examples=40, deadline=None)
