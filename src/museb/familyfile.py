@@ -188,7 +188,6 @@ class _Reader:
 
     def __init__(self, fh: TextIO) -> None:
         self.fh, self.text, self.eof = fh, "", False
-        self.size = os.fstat(fh.fileno()).st_size  # the file's length in bytes
         self.pos = self.line = self.column = 0  # where text[0] sits: char, line and column
 
     def read(self, scan: Callable[[str, int], tuple[Any, int]], i: int) -> tuple[Any, int]:
@@ -228,14 +227,13 @@ class _Reader:
 
 
 def _walk(r: _Reader, i: int, close: str, item: Callable[[_Reader, int], tuple[Any, int]],
-          items: Any = None) -> tuple[Any, int]:
-    """The comma-separated items after the bracket at r.text[i], up to close,
-    appended in turn to items (a new list by default).
+          items: Any) -> tuple[Any, int]:
+    """items, with the comma-separated items after the bracket at r.text[i], up
+    to close, appended in turn.
 
     item(r, start) reads the item whose first character is r.text[start] and
     returns it with the index just past it.
     """
-    items = [] if items is None else items
     c, i = r.read(_next, i + 1)
     if c == close:
         return items, i + 1
@@ -263,17 +261,16 @@ def _element(r: _Reader, i: int) -> tuple[np.ndarray | FileFormatError, int]:
 
 
 class _Stack:
-    """A basis's walked elements, each written into one stack as it is scanned.
+    """A basis's walked elements, written in turn into one stack.
 
     The first element fixes r x c, and with it the r*c elements of a basis of
-    that shape: they go into one (r*c, r, c) array, allocated only if the file
-    is long enough to hold them at five characters an entry.  Elements past
-    the array's end are checked and counted, not stored.
+    that shape.  The stack grows as elements arrive, doubling in place up to
+    r*c, so it never outgrows the elements the file has spelled out; elements
+    past r*c are checked and counted, not stored.
     """
 
-    def __init__(self, size: int) -> None:
-        self.size = size  # the file's length in bytes
-        self.n, self.shape, self.ragged = 0, (), False
+    def __init__(self) -> None:
+        self.n, self.ragged = 0, False
         self.stack: np.ndarray | None = None
         self.refusal: FileFormatError | None = None
 
@@ -283,33 +280,34 @@ class _Stack:
             return
         if self.refusal or self.ragged:
             return  # refused already: only an element's refusal can still change which
-        if not self.n:
-            self.shape = element.shape
-            if 5 * element.size ** 2 <= self.size:
-                self.stack = np.empty((element.size, *self.shape), dtype=complex)
-        elif element.shape != self.shape:
+        if self.stack is None:
+            self.stack = np.empty((1, *element.shape), dtype=complex)
+        elif element.shape != self.stack.shape[1:]:
             self.ragged = True
             return
-        if self.stack is not None and self.n < len(self.stack):
+        elif self.n == len(self.stack) < element.size:
+            # nothing else refers to the stack, so its memory may be reallocated
+            self.stack.resize((min(2 * self.n, element.size), *element.shape), refcheck=False)
+        if self.n < len(self.stack):
             self.stack[self.n] = element
         self.n += 1
 
     def basis(self) -> np.ndarray | FileFormatError:
-        """The stack, or the refusal its elements earned."""
+        """The stacked elements, or the refusal they earned."""
         if self.refusal or self.ragged or not self.n:
             return self.refusal or FileFormatError(_NOT_A_BASIS)
-        if self.stack is not None and self.n == len(self.stack):
-            return self.stack
-        # a count no basis of these elements has: a stand-in of its shape, which
-        # BasisFamily refuses by that shape after checking the header
-        return np.broadcast_to(complex(0), (self.n, *self.shape))
+        if self.n > len(self.stack):
+            # more elements than a basis of their shape has: a stand-in of the count's
+            # shape, which BasisFamily refuses by that shape after checking the header
+            return np.broadcast_to(complex(0), (self.n, *self.stack.shape[1:]))
+        return self.stack if self.n == len(self.stack) else self.stack[: self.n]
 
 
 def _basis(r: _Reader, i: int) -> tuple[np.ndarray | FileFormatError, int]:
     if r.text[i:i + 1] != "[":
         return FileFormatError(_NOT_A_BASIS), r.read(_value, i)[1]
-    elements, end = _walk(r, i, "]", _element, _Stack(r.size))
-    return elements.basis(), end
+    stack, end = _walk(r, i, "]", _element, _Stack())
+    return stack.basis(), end
 
 
 def _field(r: _Reader, i: int) -> tuple[tuple[str, Any], int]:
@@ -321,7 +319,7 @@ def _field(r: _Reader, i: int) -> tuple[tuple[str, Any], int]:
         raise json.JSONDecodeError("Expecting ':' delimiter", r.text, i)
     c, i = r.read(_next, i + 1)
     if key == "bases" and c == "[":
-        value, i = _walk(r, i, "]", _basis)
+        value, i = _walk(r, i, "]", _basis, [])
     else:
         value, i = r.read(_value, i)
     return (key, value), i
@@ -332,7 +330,7 @@ def _walk_document(r: _Reader) -> dict[str, Any]:
     c, i = r.read(_next, 0)
     if c != "{":
         raise FileFormatError("expected a JSON object")
-    fields, i = _walk(r, i, "}", _field)
+    fields, i = _walk(r, i, "}", _field, [])
     c, i = r.read(_next, i)
     if c:
         raise json.JSONDecodeError("Extra data", r.text, i)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -243,45 +242,31 @@ def _self(f: BasisFamily) -> tuple:
     return gram.diagonal().copy(), mags.max(), on
 
 
-def _spectrum(f: BasisFamily, spectrum: Callable | None = None) -> np.ndarray:
-    """Each element's singular values, descending; a product's are its factors' products,
-    each factor's got from spectrum (by default this function)."""
-    if not f._factors:
-        return stacked_singular_values(f.elements)
-    a, b = map(spectrum or _spectrum, f._factors)
+def _spectrum(f: BasisFamily, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each element's singular values, descending, for a product whose factors' are a and
+    b: the factors' products, sorted."""
     sv = np.zeros((len(f), min(f.d, f.dprime)))
     prods = (a[:, None, :, None] * b[None, :, None, :]).reshape(len(f), -1)
     sv[:, : prods.shape[1]] = np.sort(prods, axis=1)[:, ::-1]
     return sv
 
 
-class _Spectra:
-    """_spectrum, keeping each family's result: one check through it decomposes each
-    leaf once and sorts each product at most once.  Nothing it keeps refers back to
-    it, so its arrays go as soon as the check drops it."""
-
-    def __init__(self) -> None:
-        self.kept: dict[int, np.ndarray] = {}  # by id: the families outlive the check
-
-    def __call__(self, f: BasisFamily) -> np.ndarray:
-        if id(f) not in self.kept:
-            self.kept[id(f)] = _spectrum(f, self)
-        return self.kept[id(f)]
-
-
-def _sv_bounds(f: BasisFamily, spectrum: Callable | None = None) -> tuple:
-    """(min, max) of the k leading entries of _spectrum(f)'s rows and the max of the rest
-    (0.0 if none), exactly.  A product's are its factors' products when its least leading
-    product is at least its greatest tail product, since then the sort keeps every
-    leading product ahead of every tail product; otherwise, and for a NaN, the sort's,
-    got from spectrum (by default _spectrum)."""
+def _sv_bounds(f: BasisFamily) -> tuple:
+    """(min, max) of the k leading singular values of each element and the max of the rest
+    (0.0 if none), exactly, and a function returning every element's singular values,
+    descending.  A product's are its factors' products when its least leading product is
+    at least its greatest tail product, since then the sort keeps every leading product
+    ahead of every tail product; otherwise, and for a NaN, the sort's.  Each leaf is
+    decomposed once, here, and each product sorted at most once, here or by the function."""
     if f._factors:
-        (lo_a, hi_a, t_a), (lo_b, hi_b, t_b) = (_sv_bounds(x, spectrum) for x in f._factors)
+        (lo_a, hi_a, t_a, sv_a), (lo_b, hi_b, t_b, sv_b) = map(_sv_bounds, f._factors)
         lo, tail = lo_a * lo_b, np.maximum(hi_a * t_b, t_a * hi_b)
         if lo >= tail:  # np.maximum keeps a NaN, which fails this test
-            return lo, hi_a * hi_b, tail
-    sv = (spectrum or _spectrum)(f)
-    return sv[:, : f.k].min(), sv[:, : f.k].max(), sv[:, f.k:].max(initial=0.0)
+            return lo, hi_a * hi_b, tail, lambda: _spectrum(f, sv_a(), sv_b())
+        sv = _spectrum(f, sv_a(), sv_b())
+    else:
+        sv = stacked_singular_values(f.elements)
+    return sv[:, : f.k].min(), sv[:, : f.k].max(), sv[:, f.k:].max(initial=0.0), lambda: sv
 
 
 def _overlap_gram(e: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -327,24 +312,6 @@ def _merge(parts: list[tuple[int, int, VerificationReport]]) -> VerificationRepo
     )
 
 
-def _spectrum_stage(family: BasisFamily, tol: float) -> VerificationReport:
-    """check_sebk's first stage: every element's singular values against k copies of
-    1/sqrt(k) and zeros.  The spectra it computes are kept for this stage alone."""
-    c = 1.0 / np.sqrt(family.k)
-    spectrum = _Spectra()
-    lo, hi, tail = _sv_bounds(family, spectrum)
-
-    def one_per_element(sv):
-        # one offender per element: its worst singular value
-        cols = np.arange(sv.shape[1])
-        sv_dev = np.abs(sv - np.where(cols < family.k, c, 0.0))
-        return np.where(cols == sv_dev.argmax(axis=1)[:, None], sv_dev, 0.0)
-
-    # fl(s - c) is monotone in s, so the worst deviation sits at an extreme; np.max keeps a NaN
-    return _stage(np.max([abs(lo - c), abs(hi - c), tail]), lambda: spectrum(family),
-                  one_per_element, tol, len(family), (0, 0))
-
-
 def check_sebk(family: BasisFamily, tol: float = 1e-9) -> VerificationReport:
     """Certify that a family is an orthonormal basis of uniform Schmidt rank.
 
@@ -354,7 +321,18 @@ def check_sebk(family: BasisFamily, tol: float = 1e-9) -> VerificationReport:
     """
     _check_tol(tol)
     n = len(family)
-    spectrum = _spectrum_stage(family, tol)
+    c = 1.0 / np.sqrt(family.k)
+    lo, hi, tail, spectrum_of = _sv_bounds(family)
+
+    def one_per_element(sv):
+        # one offender per element: its worst singular value
+        cols = np.arange(sv.shape[1])
+        sv_dev = np.abs(sv - np.where(cols < family.k, c, 0.0))
+        return np.where(cols == sv_dev.argmax(axis=1)[:, None], sv_dev, 0.0)
+
+    # fl(s - c) is monotone in s, so the worst deviation sits at an extreme; np.max keeps a NaN
+    spectrum = _stage(np.max([abs(lo - c), abs(hi - c), tail]),
+                      spectrum_of, one_per_element, tol, n, (0, 0))
 
     diag, off, _ = _self(family)
     diag_dev = np.abs(diag - 1)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -457,10 +458,9 @@ def test_each_stacked_basis_keeps_its_refusal(tmp_path, edit, message):
     assert str(info.value).startswith(message)
 
 
-def test_an_element_too_large_for_its_file_is_counted_not_stacked(tmp_path):
-    # a 100 x 100 first element promises 10,000 such elements, 1.6 GB: more than
-    # this 0.1 MB file could spell out at five characters an entry, so no stack
-    # is allocated; scanning the one element takes about 2 MB
+def test_a_large_first_element_stacks_only_what_the_file_spells_out(tmp_path):
+    # a 100 x 100 first element promises 10,000 such elements, 1.6 GB; the stack
+    # holds the one element there is, 0.16 MB, and scanning it takes about 2 MB
     doc = _document(r_set())
     doc["bases"][0] = [[[[0.0, 0.0]] * 100] * 100]
     path = tmp_path / "big.json"
@@ -473,6 +473,25 @@ def test_an_element_too_large_for_its_file_is_counted_not_stacked(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("fs_builder", [r_set, lambda: mub_prime(5),
+                                        lambda: FamilySet((weyl_meb(12, 12),))])
+def test_a_set_loads_through_a_pipe_as_from_its_file(tmp_path, fs_builder):
+    # a pipe has no length to read ahead of its text, as with museb verify <(zcat f.gz);
+    # the weyl file is some 0.4 MB, several times a pipe's buffer
+    path, fifo = tmp_path / "set.json", tmp_path / "set.fifo"
+    save_family_set(fs_builder(), path)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
+    writer.start()
+    try:
+        piped = load_family_set(fifo)
+    finally:
+        writer.join(timeout=60)
+    assert _contents(piped) == _contents(load_family_set(path))
+    assert all(np.array_equal(f.elements, g.elements) for f, g in zip(piped, fs_builder()))
 
 
 def test_one_large_basis_loads_into_one_array(tmp_path):

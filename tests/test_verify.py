@@ -547,6 +547,13 @@ def leaf_families(fam):
     return [leaf for part in fam._factors for leaf in leaf_families(part) or [part]]
 
 
+def sorted_spectrum(fam):
+    # each element's singular values, descending, formed afresh from the leaves
+    if not fam._factors:
+        return verify.stacked_singular_values(fam.elements)
+    return verify._spectrum(fam, *map(sorted_spectrum, fam._factors))
+
+
 def oracle_bound(fs):
     # first order, for unit elements: a complex inner product of length n rounds within
     # sqrt(2) gamma_(n+2) = 0.71 (n + 2) eps (Higham, section 3.6), a modulus or a real
@@ -628,7 +635,7 @@ def test_product_spectrum_sorts_the_zeros_of_a_rank_deficient_factor_last():
     rank_one = FamilySet((BasisFamily(2, 2, 1, np.eye(4).reshape(4, 2, 2)),))
     fam = tensor_families(FamilySet((catalog("R1"),)), rank_one)[0]
     dense = verify.stacked_singular_values(fam.elements)
-    assert np.all(np.abs(verify._spectrum(fam) - dense) <= 4 * EPS)
+    assert np.all(np.abs(sorted_spectrum(fam) - dense) <= 4 * EPS)
     assert check_sebk(fam, 1e-15).passed
 
 
@@ -653,20 +660,14 @@ def test_product_certifies_without_forming_its_grams(monkeypatch):
         svd_shapes.append(stack.shape)
         return stacked_svd(stack)
 
-    spectrum_lengths = []
-
-    def recording_spectrum(fam, *factor_spectrum):
-        spectrum_lengths.append(len(fam))
-        return spectrum(fam, *factor_spectrum)
-
-    stacked_svd, spectrum = verify.stacked_singular_values, verify._spectrum
+    stacked_svd = verify.stacked_singular_values
     monkeypatch.setattr(verify, "stacked_singular_values", recording_svd)
-    monkeypatch.setattr(verify, "_spectrum", recording_spectrum)
+    svds, spectra = recorded_spectra(monkeypatch)
     shapes = recorded_grams(monkeypatch)
     assert check_museb_set(fs).passed
     assert shapes and max(max(s) for s in shapes) <= 36
     assert svd_shapes and max(s[0] for s in svd_shapes) <= 36
-    assert spectrum_lengths and max(spectrum_lengths) <= 36
+    assert spectra == []  # the factored bounds hold, so no product's spectrum is sorted
 
 
 def prod_family():
@@ -733,9 +734,11 @@ def test_factored_extremes_are_those_of_the_materialized_magnitudes(seed, specs,
 @example(seed=0, specs=[(3, 3, 1, "generic", 2), (2, 2, 1, "generic", 1)], nest_left=False)
 def test_factored_sv_bounds_are_those_of_the_sorted_spectrum(seed, specs, nest_left):
     for f in random_product(seed, specs, nest_left):
-        sv = verify._spectrum(f)
+        sv = sorted_spectrum(f)
         want = sv[:, : f.k].min(), sv[:, : f.k].max(), sv[:, f.k:].max(initial=0.0)
-        assert verify._sv_bounds(f) == want
+        *bounds, spectrum_of = verify._sv_bounds(f)
+        assert tuple(bounds) == want
+        assert np.array_equal(spectrum_of(), sv)
 
 
 # (0, 0) is a leading singular value; in the 2x2 rank-one leaf, (-1, -1) is a tail one
@@ -769,9 +772,9 @@ def recorded_spectra(monkeypatch):
         svds.append(id(stack))
         return svd(stack)
 
-    def recording_spectrum(fam, *factor_spectrum):
+    def recording_spectrum(fam, a, b):
         spectra.append(id(fam))
-        return spectrum(fam, *factor_spectrum)
+        return spectrum(fam, a, b)
 
     monkeypatch.setattr(verify, "stacked_singular_values", recording_svd)
     monkeypatch.setattr(verify, "_spectrum", recording_spectrum)
@@ -789,8 +792,10 @@ def test_a_failing_product_decomposes_each_leaf_once_and_sorts_once(monkeypatch,
     fam = random_product(0, specs, nest_left)[0]
     leaves = leaf_families(fam)
     # the same check with nothing kept between its steps: each step forms its own spectra
+    sv_bounds = verify._sv_bounds
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "_Spectra", lambda: verify._spectrum)
+        mp.setattr(verify, "_sv_bounds", lambda f: (*sv_bounds(f)[:3],
+                                                    lambda: sorted_spectrum(f)))
         svds, spectra = recorded_spectra(mp)
         want = check_sebk(fam)
     assert len(svds) >= 3 * len(leaves) and spectra.count(id(fam)) == 2
