@@ -8,30 +8,29 @@ values and overlaps multiply across the Kronecker product, which is what
 makes the count, the rank, and the unbiasedness all survive.
 verify._product, which builds a product family from its two factors, is
 the package's one Kronecker kernel, and tensor_families its public
-pairwise fold: the composite built-in sets are left folds of
-tensor_families over prime-dimension sets.  A product's elements are
-formed on first read, so building and certifying one reads only its
-factors.
+pairwise fold.  A product's elements are formed on first read, so
+building and certifying one reads only its factors.
 
 run_recipe packages named applications of this rule, called by name with
 its parameters as keywords: run_recipe("theorem3", d=2, dprime=3, p=3, q=3).
-Each recipe is a tree whose leaves are built-in sets for dimension pairs
-(d, d') and whose nodes tensor or transpose; every subtree is certified
-before it is used and the output once more, so a returned set is always a
-certified witness.
+Each recipe is a tree: a leaf (d, d') stands for the built-in set of that
+shape, a node ("T", tree) for its transpose and a pair (left, right) for
+tensor_families(left, right).  Every proper subtree is certified before it
+is used and the output once more, so a returned set is always a certified
+witness.  Kronecker products round differently when re-associated, so each
+tree fixes the nesting its saved bytes depend on.
 
-Each built-in set for a shape (d, d') comes from the table _LEAVES of
-irreducible shapes, (1, 1), (2, 2), (3, 3) and (2, 3), and four rules in
-order: d > d' is the transpose of (d', d); a table shape is its row;
-(1, q) is mub_composite(q); a composite square is the left fold of its
-prime squares.  Any other shape raises UnsupportedParameters naming the
-missing one, such as C^5 (x) C^5 for (10, 10).
+Every built-in set is such a tree, planned by _known_tree over irreducible
+leaves, the _LEAVES shapes (1, 1), (2, 2), (3, 3), (2, 3) and every (1, q),
+which is mub_composite(q): d > d' plans as the transpose of (d', d), a
+composite square as the left-nested pairs of its prime squares in factorize
+order.  Any other shape raises UnsupportedParameters naming the missing one,
+such as C^5 (x) C^5 for (10, 10), before any leaf is built.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import replace
 from typing import Any, Callable
 
 import numpy as np
@@ -78,28 +77,29 @@ def transpose_family(s: FamilySet) -> FamilySet:
     ))
 
 
-def _fold(parts, build: Callable[[int], FamilySet]) -> FamilySet:
-    # the left fold of tensor_families over a copies of build(p) for each (p, a), in order
-    return functools.reduce(tensor_families, [build(p) for p, a in parts for _ in range(a)])
-
-
 def mub_composite(q: int) -> FamilySet:
     """Mutually unbiased bases of C^q by tensoring prime constituents.
 
-    Writing q = prod(p_i ** a_i), basis t of C^q is the tensor product of
-    a_i copies of basis t of C^(p_i) for each factor, taken in increasing
-    prime-power order.  This yields min(p_i + 1) bases, fewer than the
-    best known count for prime powers but unbiased by the product rule.
+    Writing q = prod(p_i ** a_i), basis t of C^q is the left-nested tensor
+    product of a_i copies of basis t of C^(p_i) for each factor, in
+    increasing prime-power order: min(p_i + 1) bases, fewer than the best
+    known count for prime powers but unbiased by the product rule.  They
+    keep their factors, so they certify through them and form when read.
     """
     q = _require_int("q", q)
     fact = factorize(q)
     if fact == ((q, 1),):
         return mub_prime(q)
-    fs = _fold(sorted(fact, key=lambda pa: pa[0] ** pa[1]), mub_prime)
-    return FamilySet(tuple(replace(fam, label=f"mub{q}.t{t}") for t, fam in enumerate(fs)))
+    parts = sorted(fact, key=lambda pa: pa[0] ** pa[1])
+    fs = functools.reduce(tensor_families, [mub_prime(p) for p, a in parts for _ in range(a)])
+    return FamilySet(tuple(BasisFamily._taking(f.d, f.dprime, f.k, f"mub{q}.t{t}",
+                                               factors=f._factors) for t, f in enumerate(fs)))
 
 
-# irreducible shape -> builder of its set; _known_set derives every other shape
+# a recipe tree, in the grammar of the module docstring
+Tree = Any
+
+# irreducible shape -> builder of its set; with (1, q), the leaves _known_tree plans to
 _LEAVES: dict[tuple[int, int], Callable[[], FamilySet]] = {
     # bases of C^1 (x) C^1; every pair is vacuously unbiased at 1/sqrt(1)
     (1, 1): lambda: FamilySet(tuple(
@@ -112,16 +112,15 @@ _LEAVES: dict[tuple[int, int], Callable[[], FamilySet]] = {
 }
 
 
-def _known_set(d: int, dprime: int) -> FamilySet:
-    """A built-in verified family set for (d, d'), or a refusal naming the missing shape."""
+def _known_tree(d: int, dprime: int) -> Tree:
+    """The tree of the built-in set for (d, d'), or a refusal naming the missing shape."""
     if d > dprime:
-        return transpose_family(_known_set(dprime, d))
-    if (d, dprime) in _LEAVES:
-        return _LEAVES[d, dprime]()
-    if d == 1:
-        return mub_composite(dprime)
+        return ("T", _known_tree(dprime, d))
+    if (d, dprime) in _LEAVES or d == 1:
+        return (d, dprime)
     if d == dprime and (fact := factorize(d)) != ((d, 1),):
-        return _fold(fact, lambda p: _known_set(p, p))
+        return functools.reduce(lambda s, t: (s, t),
+                                [_known_tree(p, p) for p, a in fact for _ in range(a)])
     raise UnsupportedParameters(
         f"no built-in family set for C^{d} (x) C^{dprime}: witnesses for this "
         "shape would need externally cited constructions not built here"
@@ -137,19 +136,21 @@ def _certified(fs: FamilySet, what: str, tol: float) -> FamilySet:
     return fs
 
 
-# A recipe tree is a leaf (d, d') standing for _known_set(d, d'), a node
-# ("T", tree) for its transpose, or a pair (left, right) for
-# tensor_families(left, right).  Kronecker products round differently when
-# re-associated, so each tree fixes the nesting its saved bytes depend on.
-Tree = Any
-
-
 def _build(tree: Tree, tol: float) -> FamilySet:
     """Evaluate a recipe tree, certifying every proper subtree before using it."""
     if isinstance(tree[0], int):
-        return _known_set(*tree)
+        if (plan := _known_tree(*tree)) != tree:
+            return _build(plan, tol)
+        return _LEAVES[tree]() if tree in _LEAVES else mub_composite(tree[1])
     parts = [_certified(_build(sub, tol), f"ingredient {sub}", tol) for sub in tree if sub != "T"]
     return transpose_family(*parts) if tree[0] == "T" else tensor_families(*parts)
+
+
+def _plan(tree: Tree) -> Tree:
+    """tree with each leaf replaced by its planned tree, refusing a missing shape."""
+    if isinstance(tree[0], int):
+        return _known_tree(*tree)
+    return tuple(sub if sub == "T" else _plan(sub) for sub in tree)
 
 
 # name -> (parameter names, defaults, parameters -> recipe tree)
@@ -190,16 +191,14 @@ def run_recipe(name: str, /, tol: float = 1e-9, **parameters: int) -> FamilySet:
             f"unknown recipe {name!r}; known recipes: {', '.join(RECIPE_NAMES)}"
         ) from None
     params = {**defaults, **parameters}
-    extra = [n for n in params if n not in names]
-    if extra:
+    if extra := [n for n in params if n not in names]:
         raise ValueError(f"recipe {name!r} does not take parameters {extra}")
-    missing = [n for n in names if n not in params]
-    if missing:
+    if missing := [n for n in names if n not in params]:
         raise ValueError(f"recipe {name!r} is missing parameters {missing}")
     # the museb-1 header's rule: a Python or numpy integer, never a bool, passed on as an int
-    bad = {n: params[n] for n in names if isinstance(params[n], bool)
-           or not isinstance(params[n], (int, np.integer)) or params[n] < 1}
-    if bad:
+    if bad := {n: params[n] for n in names if isinstance(params[n], bool)
+               or not isinstance(params[n], (int, np.integer)) or params[n] < 1}:
         raise ValueError(f"recipe {name!r} needs positive integer parameters, got {bad}")
     tree = recipe(*(int(params[n]) for n in names))
+    _plan(tree)  # a missing shape is refused before any leaf is built
     return _certified(_build(tree, tol), f"recipe {name!r} output", tol)

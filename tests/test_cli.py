@@ -158,6 +158,15 @@ def test_verify_k_override_fails_honestly(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("k", ["0", "3"])
+def test_verify_k_outside_the_shape_exits_2(tmp_path, capsys, k):
+    path = tmp_path / "weyl.json"
+    run(capsys, "generate", "weyl", "2", "3", "--out", str(path))
+    code, out, err = run(capsys, "verify", str(path), "--k", k)
+    assert code == 2 and out == ""
+    assert err == f"error: k must sit in [1, 2], got {k}\n"
+
+
 def test_verify_rejects_truncated_file(tmp_path, capsys):
     path = tmp_path / "t.json"
     run(capsys, "generate", "weyl", "2", "2", "--out", str(path))

@@ -264,6 +264,43 @@ def test_refusal_names_the_missing_prime_square(name, params):
         run_recipe(name, **params)
 
 
+@pytest.mark.parametrize("name, params", [
+    ("theorem3", {"d": 10, "dprime": 10, "p": 1, "q": 1}),
+    ("cor21k_mumeb", {"d": 10, "q": 1}),
+])
+def test_a_refused_shape_builds_nothing(monkeypatch, name, params):
+    builds = []
+    for shape, builder in compose._LEAVES.items():
+        monkeypatch.setitem(compose._LEAVES, shape,
+                            lambda shape=shape, builder=builder: builds.append(shape) or builder())
+    with pytest.raises(UnsupportedParameters, match=re.escape("C^5 (x) C^5")):
+        run_recipe(name, **params)
+    assert builds == []
+
+
+def leaves(tree):
+    if isinstance(tree[0], int):
+        return [tree]
+    return [leaf for sub in tree if sub != "T" for leaf in leaves(sub)]
+
+
+def test_known_trees_plan_the_built_in_shapes_without_building():
+    planned = {}
+    for d in range(1, 61):
+        for dprime in range(d, 61):
+            try:
+                planned[d, dprime] = compose._known_tree(d, dprime)
+            except UnsupportedParameters:
+                pass
+    assert len(planned) == 76
+    assert all(leaf in compose._LEAVES or leaf[0] == 1
+               for tree in planned.values() for leaf in leaves(tree))
+    assert planned[1, 12] == (1, 12)
+    assert planned[8, 8] == (((2, 2), (2, 2)), (2, 2))
+    assert planned[12, 12] == (((2, 2), (2, 2)), (3, 3))
+    assert compose._known_tree(3, 2) == ("T", (2, 3))
+
+
 @pytest.mark.parametrize("shape", sorted(compose._LEAVES))
 def test_every_leaf_certifies_at_its_shape(shape):
     fs = compose._LEAVES[shape]()
@@ -273,7 +310,7 @@ def test_every_leaf_certifies_at_its_shape(shape):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 9, 12])
 def test_square_sets_are_left_folds_of_the_prime_square_leaves(d):
-    fs = compose._known_set(d, d)
+    fs = compose._build((d, d), 1e-9)
     assert (len(fs), fs.d, fs.dprime, fs.k) == (3, d, d, d)
     assert check_museb_set(fs).passed
     leaves = [compose._LEAVES[p, p]() for p, a in factorize(d) for _ in range(a)]
@@ -284,18 +321,18 @@ def test_square_sets_are_left_folds_of_the_prime_square_leaves(d):
 
 
 def test_recipe_certifies_every_ingredient(monkeypatch):
-    known_set = compose._known_set
+    mub_composite = compose.mub_composite
 
-    def tampered(d, dprime):
-        fs = known_set(d, dprime)
-        if (d, dprime) != (1, 2):
+    def tampered(q):
+        fs = mub_composite(q)
+        if q != 2:
             return fs
         el = fs[0].elements.copy()
         el[0] *= 1.001
         bad = BasisFamily(fs.d, fs.dprime, fs.k, el, fs[0].label)
         return FamilySet((bad,) + fs.families[1:])
 
-    monkeypatch.setattr(compose, "_known_set", tampered)
+    monkeypatch.setattr(compose, "mub_composite", tampered)
     with pytest.raises(VerificationFailed, match=r"^ingredient \(1, 2\) failed"):
         run_recipe("example1")
 
@@ -359,7 +396,7 @@ def test_mub_composite_matches_the_kron_reference(q):
 
 
 def test_tensor_families_takes_over_its_fresh_product_array():
-    s, t = compose._known_set(6, 6), compose._known_set(4, 4)
+    s, t = compose._build((6, 6), 1e-9), compose._build((4, 4), 1e-9)
     tracemalloc.start()
     try:
         out = tensor_families(s, t)

@@ -422,7 +422,7 @@ def test_frozen_pair_is_mutually_unbiased():
 def _built_families():
     five, qubit = mub_prime(5), mumeb_qubit()
     sets = [mub_prime(2), mub_prime(3), mub_prime(7), mumeb_qubit(), five, transpose_family(five),
-            qubit, transpose_family(qubit), compose._known_set(1, 1),
+            qubit, transpose_family(qubit), compose._build((1, 1), 1e-9),
             FamilySet(c23_partner(ThetaParams(0.0, 0.0, 1.5 * PI)))]
     fams = [fam for fs in sets for fam in fs]
     fams += [weyl_meb(2, 3), weyl_meb(2, 3), weyl_meb(3, 5), c23_family(np.eye(2)),

@@ -652,8 +652,8 @@ def recorded_grams(monkeypatch):
 
 def test_product_certifies_without_forming_its_grams(monkeypatch):
     # C^4 (x) C^6 factors with no factors of their own, as perfbench's grow_c24 has
-    fs = tensor_families(dense_copy(compose._known_set(4, 4)),
-                         dense_copy(compose._known_set(6, 6)))
+    fs = tensor_families(dense_copy(compose._build((4, 4), 1e-9)),
+                         dense_copy(compose._build((6, 6), 1e-9)))
     svd_shapes = []
 
     def recording_svd(stack):
@@ -683,12 +683,19 @@ def test_factors_do_not_outlive_their_elements(tmp_path):
         dataclasses.replace(prod, label="relabelled"),
         BasisFamily(prod.d, prod.dprime, prod.k, prod.elements, prod.label),
         *transpose_family(prod_set),
-        *mub_composite(6),  # a fold of products, relabelled by replace
     ]
     save_family_set(prod_set, tmp_path / "prod.json")
     rebuilt += load_family_set(tmp_path / "prod.json").families
     assert all(fam._factors == () for fam in rebuilt)
     assert all(fam._factors == () for fam in (catalog("R1"), mub_prime(5)[0]))
+
+
+def test_composite_mub_families_keep_their_factors():
+    fs = mub_composite(143)
+    assert [fam.label for fam in fs] == [f"mub143.t{t}" for t in range(len(fs))]
+    assert all(fam._factors and unformed(fam) for fam in fs)
+    assert check_museb_set(fs).passed
+    assert all(unformed(fam) for fam in fs)  # certified through the factors
 
 
 def test_unmatched_factors_fall_back_to_the_dense_gram(monkeypatch):
@@ -837,8 +844,8 @@ def test_a_nan_in_any_factor_gram_fails_both_gram_stages(seed, specs, nest_left,
 
 @pytest.mark.parametrize("build, budget", [
     # below one float64 array of the C^24 product's Gram shape, 576 x 576
-    (lambda: tensor_families(dense_copy(compose._known_set(4, 4)),
-                             dense_copy(compose._known_set(6, 6))), 576 * 576 * 8),
+    (lambda: tensor_families(dense_copy(compose._build((4, 4), 1e-9)),
+                             dense_copy(compose._build((6, 6), 1e-9))), 576 * 576 * 8),
     # 2 MB for C^36, where one 1296 x 1296 float64 array takes 13.4 MB
     (lambda: run_recipe("theorem3", d=6, dprime=6, p=6, q=6), 2e6),
 ])
@@ -879,7 +886,7 @@ def test_formed_elements_are_the_einsum_of_the_factors(seed, specs, nest_left):
 
 
 def test_header_length_repr_and_certificate_form_no_product():
-    built = [tensor_families(compose._known_set(2, 2), compose._known_set(3, 3))
+    built = [tensor_families(compose._build((2, 2), 1e-9), compose._build((3, 3), 1e-9))
              for _ in range(2)]
     nested = run_recipe("example1")  # products of products, each certified on the way
     for fam in built[0]:
