@@ -20,9 +20,10 @@ is used and the output once more, so a returned set is always a certified
 witness.  Kronecker products round differently when re-associated, so each
 tree fixes the nesting its saved bytes depend on.
 
-Every built-in set is such a tree, planned by _known_tree over irreducible
-leaves, the _LEAVES shapes (1, 1), (2, 2), (3, 3), (2, 3) and every (1, q),
-which is mub_composite(q): d > d' plans as the transpose of (d', d), a
+Every built-in set is such a tree.  run_recipe plans its tree once, by
+_plan, over irreducible leaves, then evaluates the planned tree: the leaves
+are the _LEAVES shapes (1, 1), (2, 2), (3, 3), (2, 3) and every (1, q),
+which is mub_composite(q); d > d' plans as the transpose of (d', d), a
 composite square as the left-nested pairs of its prime squares in factorize
 order.  Any other shape raises UnsupportedParameters naming the missing one,
 such as C^5 (x) C^5 for (10, 10), before any leaf is built.
@@ -99,7 +100,7 @@ def mub_composite(q: int) -> FamilySet:
 # a recipe tree, in the grammar of the module docstring
 Tree = Any
 
-# irreducible shape -> builder of its set; with (1, q), the leaves _known_tree plans to
+# irreducible shape -> builder of its set; with (1, q), the leaves _plan plans to
 _LEAVES: dict[tuple[int, int], Callable[[], FamilySet]] = {
     # bases of C^1 (x) C^1; every pair is vacuously unbiased at 1/sqrt(1)
     (1, 1): lambda: FamilySet(tuple(
@@ -112,15 +113,18 @@ _LEAVES: dict[tuple[int, int], Callable[[], FamilySet]] = {
 }
 
 
-def _known_tree(d: int, dprime: int) -> Tree:
-    """The tree of the built-in set for (d, d'), or a refusal naming the missing shape."""
+def _plan(tree: Tree) -> Tree:
+    """tree with each leaf replaced by the tree of its built-in set, refusing a missing shape."""
+    if not isinstance(tree[0], int):
+        return tuple(sub if sub == "T" else _plan(sub) for sub in tree)
+    d, dprime = tree
     if d > dprime:
-        return ("T", _known_tree(dprime, d))
+        return ("T", _plan((dprime, d)))
     if (d, dprime) in _LEAVES or d == 1:
         return (d, dprime)
     if d == dprime and (fact := factorize(d)) != ((d, 1),):
         return functools.reduce(lambda s, t: (s, t),
-                                [_known_tree(p, p) for p, a in fact for _ in range(a)])
+                                [_plan((p, p)) for p, a in fact for _ in range(a)])
     raise UnsupportedParameters(
         f"no built-in family set for C^{d} (x) C^{dprime}: witnesses for this "
         "shape would need externally cited constructions not built here"
@@ -137,20 +141,12 @@ def _certified(fs: FamilySet, what: str, tol: float) -> FamilySet:
 
 
 def _build(tree: Tree, tol: float) -> FamilySet:
-    """Evaluate a recipe tree, certifying every proper subtree before using it."""
+    """Evaluate a planned recipe tree, certifying every proper subtree before using it."""
     if isinstance(tree[0], int):
-        if (plan := _known_tree(*tree)) != tree:
-            return _build(plan, tol)
-        return _LEAVES[tree]() if tree in _LEAVES else mub_composite(tree[1])
+        # a planned leaf is a _LEAVES shape or (1, q); any other raises KeyError
+        return mub_composite(tree[1]) if tree[0] == 1 and tree not in _LEAVES else _LEAVES[tree]()
     parts = [_certified(_build(sub, tol), f"ingredient {sub}", tol) for sub in tree if sub != "T"]
     return transpose_family(*parts) if tree[0] == "T" else tensor_families(*parts)
-
-
-def _plan(tree: Tree) -> Tree:
-    """tree with each leaf replaced by its planned tree, refusing a missing shape."""
-    if isinstance(tree[0], int):
-        return _known_tree(*tree)
-    return tuple(sub if sub == "T" else _plan(sub) for sub in tree)
 
 
 # name -> (parameter names, defaults, parameters -> recipe tree)
@@ -199,6 +195,6 @@ def run_recipe(name: str, /, tol: float = 1e-9, **parameters: int) -> FamilySet:
     if bad := {n: params[n] for n in names if isinstance(params[n], bool)
                or not isinstance(params[n], (int, np.integer)) or params[n] < 1}:
         raise ValueError(f"recipe {name!r} needs positive integer parameters, got {bad}")
-    tree = recipe(*(int(params[n]) for n in names))
-    _plan(tree)  # a missing shape is refused before any leaf is built
+    # a missing shape is refused while planning, before any leaf is built
+    tree = _plan(recipe(*(int(params[n]) for n in names)))
     return _certified(_build(tree, tol), f"recipe {name!r} output", tol)

@@ -29,9 +29,9 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .construct import ThetaParams, _as_mixer, _c23_elements, _mixers, _residual, _theta3, catalog
-from .errors import EmptyInput, NotAdmissible, ShapeMismatch
+from .errors import NotAdmissible
 from .matspace import _check_tol
-from .verify import BasisFamily, _overlap_gram
+from .verify import _overlap_gram
 
 __all__ = [
     "SearchConfig",
@@ -104,32 +104,16 @@ class ClosureSweep:
     failures: int
 
 
-def _penalty_kernel(targets) -> np.ndarray:
-    """The (4, 36 * len(targets)) kernel K with overlaps(w) = w.reshape(4).conj() @ K.
-
-    Row n holds the flattened overlap Grams, against each target, of the
-    basis mixed by the n-th unit 2x2 matrix.  Raises EmptyInput for no
-    targets, TypeError for a target that is not a BasisFamily, and
-    ShapeMismatch for one that is not six elements of C^2 (x) C^3.
-    """
-    targets = tuple(targets)
-    if not targets:
-        raise EmptyInput("the penalty needs at least one target family")
-    for t in targets:
-        if not isinstance(t, BasisFamily):
-            raise TypeError(f"a target must be a BasisFamily, got {type(t).__name__}")
-        if t.elements.shape != (6, 2, 3):
-            raise ShapeMismatch(f"a target must be a basis of C^2 (x) C^3, "
-                                f"got elements of shape {t.elements.shape}")
-    units = np.concatenate([_c23_elements(e) for e in np.eye(4).reshape(4, 2, 2)])
-    return np.concatenate([_overlap_gram(units, t.elements).reshape(4, 36) for t in targets],
-                          axis=1)
-
-
 @functools.cache
 def _default_kernel() -> np.ndarray:
-    # the kernel of the frozen partners eq16 and eq17, built on first use
-    kernel = _penalty_kernel((catalog("eq16"), catalog("eq17")))
+    """The (4, 72) kernel K with overlaps(w) = w.reshape(4).conj() @ K, built on first use.
+
+    Row n holds the flattened overlap Grams, against the frozen partners
+    eq16 and eq17 in turn, of the basis mixed by the n-th unit 2x2 matrix.
+    """
+    units = np.concatenate([_c23_elements(e) for e in np.eye(4).reshape(4, 2, 2)])
+    kernel = np.concatenate([_overlap_gram(units, catalog(name).elements).reshape(4, 36)
+                             for name in ("eq16", "eq17")], axis=1)
     kernel.setflags(write=False)
     return kernel
 
@@ -148,20 +132,16 @@ def _penalties(ws: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return ((np.abs(g) - _GOAL) ** 2).sum(axis=1)
 
 
-def unbiasedness_penalty(w, targets=None) -> float:
+def unbiasedness_penalty(w) -> float:
     """Sum of squared overlap-magnitude errors of the basis mixed by w.
 
     The candidate 2x2 matrix is expanded into its basis of C^2 (x) C^3 and
-    compared against each target family (by default the frozen partners
-    eq16 and eq17); a perfect third basis would score exactly zero.
-    Invariant under a global phase on w.  Raises ValueError when w has a
-    non-finite entry, or entries so large that the overlaps overflow, and
-    EmptyInput, TypeError or ShapeMismatch for targets that are not one or
-    more bases of C^2 (x) C^3.
+    compared against the frozen partners eq16 and eq17; a perfect third
+    basis would score exactly zero.  Invariant under a global phase on w.
+    Raises ValueError when w has a non-finite entry, or entries so large
+    that the overlaps overflow.
     """
-    a = _as_mixer(w)
-    kernel = _default_kernel() if targets is None else _penalty_kernel(targets)
-    pen = float(_penalties(a, kernel)[0])
+    pen = float(_penalties(_as_mixer(w), _default_kernel())[0])
     if not math.isfinite(pen):
         raise ValueError(f"penalty overflows to {pen}: mixer entries are too large")
     return pen

@@ -86,6 +86,13 @@ def test_catalog_matrix_stdout_is_the_saved_document(tmp_path, capsys):
     assert out.rstrip("\n") == saved[:-1]
 
 
+def test_generate_catalog_matrix_to_a_file_reads_back_bit_for_bit(tmp_path, capsys):
+    path = tmp_path / "u.json"
+    code, out, _ = run(capsys, "generate", "catalog", "U", "--out", str(path))
+    assert (code, out) == (0, f"wrote {path}\n")
+    assert familyfile.load_matrix(path).tobytes() == catalog("U").tobytes()
+
+
 def test_family_set_stdout_is_the_saved_document(tmp_path, capsys, monkeypatch):
     path = tmp_path / "weyl.json"
     save_family_set(FamilySet((weyl_meb(2, 3),)), path)
@@ -243,6 +250,23 @@ def test_compose_refuses_parameters_the_recipe_does_not_take(tmp_path, capsys, a
     assert err.startswith("error:")
     assert str([arg[2:] for arg in argv if arg.startswith("--")]) in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("compose", "m69", "{a}"), "recipe 'm69' takes parameters, not input files"),
+    (("compose", "tensor", "{a}"), "compose tensor needs exactly two input files"),
+    (("trio", "--builtin", "{u}"), "--builtin takes no input files"),
+    (("trio", "{a}", "{u}"), "first input matrix is not unitary"),
+    (("trio", "{u}", "{u}", "{u}"), "trio needs --builtin, one matrix file, or two basis files"),
+])
+def test_input_files_the_command_cannot_take_exit_2(tmp_path, capsys, argv, message):
+    # each refusal comes before a file is read as a family set
+    a, u = tmp_path / "a.json", tmp_path / "u.json"
+    save_matrix(2 * catalog("U"), a)  # square, but not unitary
+    save_matrix(catalog("U"), u)
+    code, out, err = run(capsys, *(arg.format(a=a, u=u) for arg in argv))
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_compose_out_of_scope_is_exit_2(capsys):

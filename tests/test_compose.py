@@ -86,6 +86,11 @@ def test_tensor_rejects_empty_sets():
         tensor_families(s_set(), FamilySet(()))
 
 
+def test_transpose_rejects_an_empty_set():
+    with pytest.raises(EmptyInput):
+        transpose_family(FamilySet(()))
+
+
 def test_tensor_labels_join():
     out = tensor_families(r_set(), s_set())
     assert out[0].label == "R1*S1"
@@ -289,7 +294,7 @@ def test_known_trees_plan_the_built_in_shapes_without_building():
     for d in range(1, 61):
         for dprime in range(d, 61):
             try:
-                planned[d, dprime] = compose._known_tree(d, dprime)
+                planned[d, dprime] = compose._plan((d, dprime))
             except UnsupportedParameters:
                 pass
     assert len(planned) == 76
@@ -298,7 +303,15 @@ def test_known_trees_plan_the_built_in_shapes_without_building():
     assert planned[1, 12] == (1, 12)
     assert planned[8, 8] == (((2, 2), (2, 2)), (2, 2))
     assert planned[12, 12] == (((2, 2), (2, 2)), (3, 3))
-    assert compose._known_tree(3, 2) == ("T", (2, 3))
+    assert compose._plan((3, 2)) == ("T", (2, 3))
+
+
+@pytest.mark.parametrize("tree", [(6, 6), (4, 4), (3, 2), ((2, 3), (6, 6)), ("T", (2, 1))])
+def test_build_refuses_an_unplanned_leaf(tree):
+    # _build evaluates planned trees only: an unplanned (6, 6) must not fall
+    # through to mub_composite(6), the C^1 (x) C^6 set, nor (3, 2) to mub_composite(2)
+    with pytest.raises(KeyError):
+        compose._build(tree, 1e-9)
 
 
 @pytest.mark.parametrize("shape", sorted(compose._LEAVES))
@@ -310,7 +323,7 @@ def test_every_leaf_certifies_at_its_shape(shape):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 9, 12])
 def test_square_sets_are_left_folds_of_the_prime_square_leaves(d):
-    fs = compose._build((d, d), 1e-9)
+    fs = compose._build(compose._plan((d, d)), 1e-9)
     assert (len(fs), fs.d, fs.dprime, fs.k) == (3, d, d, d)
     assert check_museb_set(fs).passed
     leaves = [compose._LEAVES[p, p]() for p, a in factorize(d) for _ in range(a)]
@@ -396,7 +409,8 @@ def test_mub_composite_matches_the_kron_reference(q):
 
 
 def test_tensor_families_takes_over_its_fresh_product_array():
-    s, t = compose._build((6, 6), 1e-9), compose._build((4, 4), 1e-9)
+    s = compose._build(compose._plan((6, 6)), 1e-9)
+    t = compose._build(compose._plan((4, 4)), 1e-9)
     tracemalloc.start()
     try:
         out = tensor_families(s, t)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import museb
 from museb import compose, construct, errors, familyfile, matspace, search, trio, verify
@@ -30,3 +31,5 @@ def test_test_only_shims_are_gone():
     # len(fs) counts the families; the descent's step scale is a module constant
     assert not hasattr(museb.FamilySet, "witness_count")
     assert "step_scale" not in {f.name for f in dataclasses.fields(museb.SearchConfig)}
+    # the penalty scores against the one frozen pair eq16 and eq17, and no other
+    assert list(inspect.signature(museb.unbiasedness_penalty).parameters) == ["w"]

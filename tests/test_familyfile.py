@@ -188,6 +188,9 @@ def test_matrix_rejects_malformed(tmp_path):
         path.write_text(json.dumps([[[0.0, 1.0], entry], [[0.0, 1.0], [1.0, 0.0]]]))
         with pytest.raises(FileFormatError, match="entries must be numbers"):
             load_matrix(path)
+    path.write_text("[[[1.0, 0.0]]")
+    with pytest.raises(FileFormatError, match="not valid JSON"):
+        load_matrix(path)
 
 
 # sha256 of the files the original per-entry writer produced; any writer

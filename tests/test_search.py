@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from museb import (
-    EmptyInput,
     NotAdmissible,
     SearchConfig,
     ShapeMismatch,
@@ -20,7 +19,6 @@ from museb import (
     theta_mixing_matrix,
     third_basis_search,
     unbiasedness_penalty,
-    weyl_meb,
 )
 from museb import search
 from museb.search import (
@@ -59,6 +57,20 @@ def test_probe_always_fails_on_random_admissible_pairs():
         assert max(finding.modulus_deviation, finding.phase_deviation) > 1e-3
 
 
+def test_probe_reports_the_diagonal_phase_when_the_moduli_hold():
+    # of the 200,000 pairs closure_sweep(200_000, seed=0) draws, pair 38898
+    # comes closest to the modulus pattern, 9.3e-7 off, yet misses the
+    # diagonal quarter turn by about pi/2
+    ta = ThetaParams(4.58099975098906, 3.3135804966676305,
+                     solve_theta(4.58099975098906, 3.3135804966676305))
+    tb = ThetaParams(1.871480168620714, 3.222052002994106,
+                     solve_theta(1.871480168620714, 3.222052002994106))
+    finding = closure_failure_probe(ta, tb, tol=1e-6)
+    assert finding.violated == "diagonal_phase"
+    assert finding.modulus_deviation < 1e-6
+    assert abs(finding.phase_deviation - np.pi / 2) < 1e-5
+
+
 def test_closure_sweep_counts_every_failure():
     sweep = closure_sweep(500, seed=11)
     assert sweep.pairs == 500
@@ -67,17 +79,14 @@ def test_closure_sweep_counts_every_failure():
 
 def test_penalty_of_a_target_against_itself():
     # overlap magnitudes of a basis with itself are 6 ones and 30 zeros,
-    # so the penalty against that single target is 6(1-g)^2 + 30 g^2 with
-    # g = 1/sqrt(6), which simplifies to 12 - 2 sqrt(6)
+    # so its penalty against eq17 is 6(1-g)^2 + 30 g^2 with g = 1/sqrt(6),
+    # which simplifies to 12 - 2 sqrt(6)
     g = 1 / np.sqrt(6.0)
     expected = 12 - 2 * np.sqrt(6.0)
     assert abs(expected - (6 * (1 - g) ** 2 + 30 * g**2)) < 1e-12
     mixer = theta_mixing_matrix(REFERENCE)  # mixes to exactly the eq17 family
-    got = unbiasedness_penalty(mixer, targets=(catalog("eq17"),))
-    assert abs(got - expected) < 1e-10
     # against eq16 the same mixer is perfectly unbiased, adding nothing
-    both = unbiasedness_penalty(mixer)
-    assert abs(both - expected) < 1e-10
+    assert abs(unbiasedness_penalty(mixer) - expected) < 1e-10
 
 
 def test_penalty_invariant_under_global_phase():
@@ -333,23 +342,21 @@ def test_penalty_keeps_every_input_check(w, error):
         unbiasedness_penalty(w)
 
 
-@pytest.mark.parametrize("targets, error", [
-    ((), EmptyInput),  # no target would score every mixer a perfect 0.0
-    ([], EmptyInput),
-    ((np.ones((6, 2, 3)),), TypeError),  # a bare array, not a BasisFamily
-    (catalog("eq16"), TypeError),  # one family rather than a collection of them
-    ((weyl_meb(2, 2),), ShapeMismatch),
-    ((catalog("eq16"), weyl_meb(3, 3)), ShapeMismatch),
-])
-def test_penalty_checks_its_targets(targets, error):
-    with pytest.raises(error):
-        unbiasedness_penalty(np.eye(2), targets=targets)
+def test_long_walks_polish_their_mixers_back_to_unitary(monkeypatch):
+    # the default 4 x 300 search accepts at most 28 steps per restart, short
+    # of the 64th accept that replaces a mixer by its polar factor
+    svd_calls = []
+    real_svd = np.linalg.svd
 
+    def counting_svd(a, *args, **kwargs):
+        svd_calls.append(a.shape)
+        return real_svd(a, *args, **kwargs)
 
-def test_penalty_with_the_default_targets_given_explicitly():
-    w = theta_mixing_matrix(ThetaParams(0.3, 1.1, solve_theta(0.3, 1.1)))
-    given_targets = unbiasedness_penalty(w, targets=[catalog("eq16"), catalog("eq17")])
-    assert given_targets == unbiasedness_penalty(w)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    out = third_basis_search(SearchConfig(seed=0, max_iterations=2000, restarts=64))
+    assert svd_calls
+    w = out.best_candidate
+    assert np.abs(w.conj().T @ w - np.eye(2)).max() < 1e-14
 
 
 def test_search_blocks_do_not_change_the_outcome(monkeypatch):

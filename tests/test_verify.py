@@ -107,6 +107,8 @@ def test_basis_family_validation():
         bad = np.zeros((6, 2, 3), dtype=complex)
         bad[0, 0, 0] = np.nan
         BasisFamily(2, 3, 2, bad)
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        BasisFamily(0, 1, 1, np.zeros((0, 0, 1), dtype=complex))
 
 
 @pytest.mark.parametrize("header, refused", [
@@ -652,8 +654,8 @@ def recorded_grams(monkeypatch):
 
 def test_product_certifies_without_forming_its_grams(monkeypatch):
     # C^4 (x) C^6 factors with no factors of their own, as perfbench's grow_c24 has
-    fs = tensor_families(dense_copy(compose._build((4, 4), 1e-9)),
-                         dense_copy(compose._build((6, 6), 1e-9)))
+    fs = tensor_families(dense_copy(compose._build(compose._plan((4, 4)), 1e-9)),
+                         dense_copy(compose._build(compose._plan((6, 6)), 1e-9)))
     svd_shapes = []
 
     def recording_svd(stack):
@@ -844,8 +846,9 @@ def test_a_nan_in_any_factor_gram_fails_both_gram_stages(seed, specs, nest_left,
 
 @pytest.mark.parametrize("build, budget", [
     # below one float64 array of the C^24 product's Gram shape, 576 x 576
-    (lambda: tensor_families(dense_copy(compose._build((4, 4), 1e-9)),
-                             dense_copy(compose._build((6, 6), 1e-9))), 576 * 576 * 8),
+    (lambda: tensor_families(dense_copy(compose._build(compose._plan((4, 4)), 1e-9)),
+                             dense_copy(compose._build(compose._plan((6, 6)), 1e-9))),
+     576 * 576 * 8),
     # 2 MB for C^36, where one 1296 x 1296 float64 array takes 13.4 MB
     (lambda: run_recipe("theorem3", d=6, dprime=6, p=6, q=6), 2e6),
 ])
