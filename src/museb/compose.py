@@ -37,8 +37,8 @@ from typing import Any, Callable
 import numpy as np
 
 from .construct import catalog, factorize, mub_prime, mumeb_qubit
-from .errors import EmptyInput, UnsupportedParameters, VerificationFailed
-from .matspace import _check_tol, _require_int
+from .errors import UnsupportedParameters, VerificationFailed
+from .matspace import _check_count, _check_tol, _require_int
 from .verify import BasisFamily, FamilySet, _product, check_museb_set
 
 __all__ = [
@@ -57,8 +57,6 @@ def tensor_families(s: FamilySet, t: FamilySet) -> FamilySet:
     with the index of A varying slowest.  The result has min(len(s), len(t))
     families of Schmidt rank s.k * t.k.
     """
-    if len(s) == 0 or len(t) == 0:
-        raise EmptyInput("tensor_families needs at least one family on each side")
     return FamilySet(tuple(map(_product, s, t)))
 
 
@@ -68,8 +66,6 @@ def transpose_family(s: FamilySet) -> FamilySet:
     Orthonormality, Schmidt coefficients, and overlap magnitudes are all
     invariant, so the result witnesses the mirrored dimension pair.
     """
-    if len(s) == 0:
-        raise EmptyInput("transpose_family needs at least one family")
     return FamilySet(tuple(
         # copy() lays the transposed elements out afresh in C order, the one copy made
         BasisFamily._taking(fam.dprime, fam.d, fam.k, f"{fam.label}^T" if fam.label else "",
@@ -191,10 +187,8 @@ def run_recipe(name: str, /, tol: float = 1e-9, **parameters: int) -> FamilySet:
         raise ValueError(f"recipe {name!r} does not take parameters {extra}")
     if missing := [n for n in names if n not in params]:
         raise ValueError(f"recipe {name!r} is missing parameters {missing}")
-    # the museb-1 header's rule: a Python or numpy integer, never a bool, passed on as an int
-    if bad := {n: params[n] for n in names if isinstance(params[n], bool)
-               or not isinstance(params[n], (int, np.integer)) or params[n] < 1}:
-        raise ValueError(f"recipe {name!r} needs positive integer parameters, got {bad}")
+    for n in names:
+        _check_count(n, params[n], 1)
     # a missing shape is refused while planning, before any leaf is built
     tree = _plan(recipe(*(int(params[n]) for n in names)))
     return _certified(_build(tree, tol), f"recipe {name!r} output", tol)

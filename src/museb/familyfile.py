@@ -29,7 +29,8 @@ from typing import Any, Callable, TextIO
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, ShapeMismatch
+from .matspace import as_matrix
 from .verify import BasisFamily, FamilySet
 
 __all__ = [
@@ -85,11 +86,9 @@ def _dumps_stack(mat: np.ndarray) -> str:
 def _header(fs: FamilySet) -> dict[str, Any]:
     """Every field of fs's document but bases.
 
-    Called before any output is made: it refuses an empty set and forms every
-    product's elements, so a product that cannot be formed leaves no partial output.
+    Called before any output is made: it forms every product's elements, so a
+    product that cannot be formed leaves no partial output.  fs is never empty.
     """
-    if len(fs) == 0:
-        raise FileFormatError("refusing to serialize an empty family set")
     for fam in fs:
         fam.elements  # a product's elements are formed on first read
     return {
@@ -150,7 +149,7 @@ def _write_family_set(fs: FamilySet, fh: TextIO) -> None:
 
 
 def save_family_set(fs: FamilySet, path: str | os.PathLike) -> None:
-    _header(fs)  # refuses an empty set, and forms every product, before the file is created
+    _header(fs)  # forms every product before the file is created
     with open(path, "w", encoding="utf-8") as fh:
         _write_family_set(fs, fh)
 
@@ -358,15 +357,16 @@ def load_family_set(path: str | os.PathLike) -> FamilySet:
 
 
 def dumps_matrix(mat: np.ndarray) -> str:
-    """The museb-1 matrix document as one line of JSON text; entries must be finite."""
-    arr = np.asarray(mat, dtype=complex)
-    if not np.isfinite(arr).all():  # NaN and Infinity are not JSON numbers
-        raise ValueError("matrix entries must be finite")
+    """The museb-1 matrix document as one line of JSON text, for a matrix load_matrix
+    reads back: 2-D, with at least one entry, every entry finite (JSON has no NaN)."""
+    arr = as_matrix(mat)
+    if not arr.size:
+        raise ShapeMismatch(f"a matrix file needs at least one entry, got shape {arr.shape}")
     return json.dumps({"format_version": FORMAT_VERSION})[:-1] + f', "matrix": {_dumps_stack(arr)}}}'
 
 
 def save_matrix(mat: np.ndarray, path: str | os.PathLike) -> None:
-    text = dumps_matrix(mat)  # refuses non-finite entries before the file is created
+    text = dumps_matrix(mat)  # refuses what load_matrix would, before the file is created
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 

@@ -40,6 +40,12 @@ def _require_int(name: str, n) -> int:
     return int(n)
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """The one count rule: a Python or numpy integer, never a bool, of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def as_matrix(data: Any) -> np.ndarray:
     """Coerce input to a 2-D complex array, rejecting NaN and infinity."""
     arr = np.asarray(data, dtype=complex)

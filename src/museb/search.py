@@ -30,7 +30,7 @@ import numpy as np
 
 from .construct import ThetaParams, _as_mixer, _c23_elements, _mixers, _residual, _theta3, catalog
 from .errors import NotAdmissible
-from .matspace import _check_tol
+from .matspace import _check_count, _check_tol
 from .verify import _overlap_gram
 
 __all__ = [
@@ -57,12 +57,6 @@ _RESTART_BLOCK = 64
 _ITER_BLOCK = 256
 # the overlap modulus of two unbiased bases of C^2 (x) C^3
 _GOAL = 1.0 / np.sqrt(6.0)
-
-
-def _check_count(name: str, value: int, least: int) -> None:
-    # a Python or numpy integer, never a bool, and at least `least`
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -118,13 +112,14 @@ def _default_kernel() -> np.ndarray:
     return kernel
 
 
-def _penalties(ws: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """The penalty of each 2x2 mixer in a stack, its overlaps taken against the kernel.
+def _penalties(ws: np.ndarray) -> np.ndarray:
+    """The penalty of each 2x2 mixer in a stack, its overlaps taken against _default_kernel().
 
     Each overlap adds its four terms conj(w_n) K[n] elementwise in the order
     n = 0..3, so a mixer scores the same bits in a stack of any size; a BLAS
     matmul may round one row differently from many.
     """
+    kernel = _default_kernel()
     a = ws.reshape(-1, 4, 1).conj()
     g = a[:, 0] * kernel[0]
     for n in range(1, 4):
@@ -141,7 +136,7 @@ def unbiasedness_penalty(w) -> float:
     Raises ValueError when w has a non-finite entry, or entries so large
     that the overlaps overflow.
     """
-    pen = float(_penalties(_as_mixer(w), _default_kernel())[0])
+    pen = float(_penalties(_as_mixer(w))[0])
     if not math.isfinite(pen):
         raise ValueError(f"penalty overflows to {pen}: mixer entries are too large")
     return pen
@@ -258,7 +253,7 @@ def _random_steps(rngs: list[np.random.Generator], start: int, count: int) -> np
     return _expm_skew2(step * im[..., 0, 0], step * b, step * im[..., 1, 1])
 
 
-def _walk(rngs: list[np.random.Generator], iterations: int, kernel: np.ndarray):
+def _walk(rngs: list[np.random.Generator], iterations: int):
     """Walk one lockstep group of restarts; return their mixers and costs.
 
     Restart i starts from a Haar unitary of rngs[i] and accepts a step only
@@ -271,13 +266,13 @@ def _walk(rngs: list[np.random.Generator], iterations: int, kernel: np.ndarray):
                                   for rng in rngs]))
     d = np.diagonal(r, axis1=1, axis2=2)
     w = q * (d / np.abs(d))[:, None, :]
-    cost = _penalties(w, kernel)
+    cost = _penalties(w)
     accepted = np.zeros(len(rngs), dtype=np.int64)
     for start in range(0, iterations, _ITER_BLOCK):
         steps = _random_steps(rngs, start, min(_ITER_BLOCK, iterations - start))
         for step in steps:
             cand = w @ step
-            cand_cost = _penalties(cand, kernel)
+            cand_cost = _penalties(cand)
             take = cand_cost < cost
             if not take.any():
                 continue
@@ -307,13 +302,11 @@ def third_basis_search(cfg: SearchConfig | None = None) -> SearchOutcome:
     recomputed from the returned candidate.
     """
     cfg = cfg or SearchConfig()
-    kernel = _default_kernel()
     best: np.ndarray | None = None
     best_cost = np.inf
     for first in range(0, cfg.restarts, _RESTART_BLOCK):
         group = range(first, min(first + _RESTART_BLOCK, cfg.restarts))
-        w, cost = _walk([np.random.default_rng([cfg.seed, r]) for r in group],
-                        cfg.max_iterations, kernel)
+        w, cost = _walk([np.random.default_rng([cfg.seed, r]) for r in group], cfg.max_iterations)
         i = int(np.argmin(cost))
         if cost[i] < best_cost:
             best, best_cost = w[i].copy(), cost[i]

@@ -148,12 +148,17 @@ class BasisFamily:
 
 @dataclass(frozen=True)
 class FamilySet:
-    """A collection of basis families sharing the same (d, d', k)."""
+    """A collection of basis families sharing the same (d, d', k), never empty.
 
-    families: tuple[BasisFamily, ...] = field(default_factory=tuple)
+    An empty set has no shape and certifies nothing, so construction raises EmptyInput.
+    """
+
+    families: tuple[BasisFamily, ...]
 
     def __post_init__(self) -> None:
         fams = tuple(self.families)
+        if not fams:
+            raise EmptyInput("family set is empty")
         for fam in fams:
             if not isinstance(fam, BasisFamily):
                 raise TypeError(
@@ -166,22 +171,15 @@ class FamilySet:
 
     @property
     def d(self) -> int:
-        self._require_nonempty()
         return self.families[0].d
 
     @property
     def dprime(self) -> int:
-        self._require_nonempty()
         return self.families[0].dprime
 
     @property
     def k(self) -> int:
-        self._require_nonempty()
         return self.families[0].k
-
-    def _require_nonempty(self) -> None:
-        if not self.families:
-            raise EmptyInput("family set is empty")
 
     def __len__(self) -> int:
         return len(self.families)
@@ -362,11 +360,10 @@ def check_museb_set(s: FamilySet, tol: float = 1e-9) -> VerificationReport:
     """Certify a whole family set: each basis individually, and all pairs.
 
     For d = d' = 1 and k = 1 this reduces to the ordinary mutually
-    unbiased bases condition on C^n written one column at a time.  An
-    empty set certifies nothing, so it raises EmptyInput.
+    unbiased bases condition on C^n written one column at a time.  A
+    FamilySet is never empty, so every verdict covers at least one basis.
     """
     _check_tol(tol)
-    s._require_nonempty()
     fams = s.families
     parts = [(fi, fi, check_sebk(fam, tol)) for fi, fam in enumerate(fams)]
     parts += [(fi, fj, check_mu_pair(fams[fi], fams[fj], tol))

@@ -236,7 +236,7 @@ def test_recipe_names_parameters_it_does_not_take(spec, refused):
 def test_recipe_parameters_must_be_ints(spec):
     # the museb-1 header's rule: never coerced, so 2.7 and True cannot build k = 2 or 1
     name, params = spec
-    with pytest.raises(ValueError, match="positive integer parameters"):
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
         run_recipe(name, **params)
 
 
@@ -244,9 +244,9 @@ def test_recipe_takes_numpy_integers_as_the_header_does():
     got = run_recipe("theorem3", d=np.int64(2), dprime=3, p=np.int32(2), q=np.uint8(2))
     assert got == run_recipe("theorem3", d=2, dprime=3, p=2, q=2)
     assert [fam.label for fam in got] == ["R1*frame0", "R2*frame1"]
-    with pytest.raises(ValueError, match="positive integer parameters"):
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
         run_recipe("cor21k_seb2", k=np.bool_(True))
-    with pytest.raises(ValueError, match="positive integer parameters"):
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
         run_recipe("cor21k_seb2", k=np.int64(0))
 
 

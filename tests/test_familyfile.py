@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 from museb import (
     BasisFamily,
+    EmptyInput,
     FamilySet,
     FileFormatError,
+    ShapeMismatch,
     catalog,
     load_family_set,
     load_matrix,
@@ -143,7 +145,8 @@ def test_malformed_documents_are_rejected(tmp_path):
 
 def test_empty_set_is_refused_before_the_file_exists(tmp_path):
     path = tmp_path / "empty.json"
-    with pytest.raises(FileFormatError, match="empty family set"):
+    # a FamilySet is never empty, so there is no set to hand save_family_set
+    with pytest.raises(EmptyInput, match="family set is empty"):
         save_family_set(FamilySet(()), path)
     assert not path.exists()
 
@@ -345,6 +348,22 @@ def test_matrix_writer_refuses_non_finite_entries(tmp_path, bad):
     with pytest.raises(ValueError, match="matrix entries must be finite"):
         save_matrix(mat, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("mat", [np.ones((2, 2, 2)), np.ones(3), np.array(1.0), np.ones((0, 3))],
+                         ids=["three_axes", "vector", "scalar", "no_rows"])
+def test_matrix_writer_refuses_what_the_reader_refuses(tmp_path, mat):
+    # load_matrix reads back only a 2-D matrix with at least one entry
+    with pytest.raises(ShapeMismatch):
+        dumps_matrix(mat)
+    path = tmp_path / "m.json"
+    with pytest.raises(ShapeMismatch):
+        save_matrix(mat, path)
+    assert not path.exists()
+    path.write_text(json.dumps({"format_version": "museb-1",
+                                "matrix": json.loads(_dumps_stack(mat.astype(complex)))}))
+    with pytest.raises(FileFormatError, match="expected one matrix"):
+        load_matrix(path)
 
 
 def test_tagged_matrix_files_must_carry_museb_1(tmp_path):

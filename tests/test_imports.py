@@ -7,6 +7,7 @@ third-basis search included, never load scipy.linalg, and they all exit
 interpreter, since a module once imported stays in sys.modules for the
 rest of a process.  A static check over the sources keeps every file
 under src/museb free of scipy imports; scipy is a test-only dependency.
+Another keeps each input rule with its one owner.
 """
 
 import ast
@@ -102,6 +103,47 @@ def test_no_source_file_imports_scipy():
         tree = ast.parse(path.read_text(), filename=str(path))
         found.extend((path.name, func, module) for func, module in _scipy_imports(tree))
     assert found == []
+
+
+def _owned(tree, match):
+    """The dotted name of the enclosing class and function of each node match accepts."""
+    found = []
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if match(child):
+                found.append(owner)
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            walk(child, f"{owner}.{child.name}" if named else owner)
+
+    walk(tree, "")
+    return found
+
+
+def _raises_empty_input(node):
+    exc = node.exc if isinstance(node, ast.Raise) else None
+    exc = exc.func if isinstance(exc, ast.Call) else exc
+    return getattr(exc, "id", getattr(exc, "attr", None)) == "EmptyInput"
+
+
+def _integer_test(node):
+    # isinstance(_, (int, np.integer)): the integer half of the dimension and count rules
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and isinstance(node.args[1], ast.Tuple)
+            and {ast.unparse(e) for e in node.args[1].elts} == {"int", "np.integer"})
+
+
+def test_each_input_rule_has_one_owner():
+    # a FamilySet is never empty, so only its constructor refuses emptiness, and only
+    # matspace says what an integer input is
+    empty, integer = [], []
+    for path in sorted((SRC / "museb").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        empty.extend(path.stem + owner for owner in _owned(tree, _raises_empty_input))
+        integer.extend(path.stem for _ in _owned(tree, _integer_test))
+    assert empty == ["verify.FamilySet.__post_init__"]
+    assert set(integer) == {"matspace"}
 
 
 # the digests from when mumeb_qubit computed its frame with scipy.linalg.expm:

@@ -24,7 +24,6 @@ from museb import search
 from museb.search import (
     _SWEEP_BLOCK,
     _closure_deviations,
-    _default_kernel,
     _expm_skew2,
     _penalties,
     _sweep_deviations,
@@ -322,7 +321,7 @@ def test_penalty_equals_the_basis_family_reference(parts):
 def test_batched_penalties_equal_the_single_mixer_penalty(rows):
     parts = np.array(rows)
     stack = (parts[:, :4] + 1j * parts[:, 4:]).reshape(-1, 2, 2)
-    got = _penalties(stack, _default_kernel())
+    got = _penalties(stack)
     assert got.shape == (len(stack),)
     assert [float(p) for p in got] == [unbiasedness_penalty(w) for w in stack]
 

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import functools
 import inspect
 import itertools
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -227,6 +229,14 @@ def test_check_museb_set_refuses_an_empty_set():
     # with no family there is nothing to certify, so no verdict is honest
     with pytest.raises(EmptyInput):
         check_museb_set(FamilySet(()))
+
+
+def test_a_family_set_is_never_empty():
+    for empty in ((), [], iter(())):
+        with pytest.raises(EmptyInput, match="family set is empty"):
+            FamilySet(empty)
+    with pytest.raises(TypeError):
+        FamilySet()  # families has no default
 
 
 def test_check_museb_set_reduces_to_mub_condition():
@@ -907,6 +917,28 @@ def test_replace_and_dense_copy_form_the_product():
     assert relabelled.label == "relabelled"
     assert np.array_equal(relabelled.elements, prod.elements)
     assert dense_copy(FamilySet((prod,)))[0] == prod
+
+
+def test_a_missing_attribute_of_a_product_forms_nothing():
+    prod = prod_family()
+    with pytest.raises(AttributeError, match="'nope'"):
+        getattr(prod, "nope")
+    assert not hasattr(prod, "nope")
+    assert unformed(prod)
+
+
+@pytest.mark.parametrize("clone", [lambda fs: pickle.loads(pickle.dumps(fs)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_copied_product_keeps_its_factors_unformed(clone):
+    fs = run_recipe("theorem3", d=2, dprime=3, p=3, q=3)
+    got = clone(fs)
+    for fam, orig in zip(got, fs):
+        assert len(fam._factors) == 2
+        assert [f.label for f in fam._factors] == [f.label for f in orig._factors]
+        assert "elements" not in vars(fam)
+    assert check_museb_set(got).passed
+    assert all(unformed(fam) for fam in (*fs, *got))  # certified through the factors
+    assert got == fs
 
 
 def test_basis_family_surface_is_unchanged():
