@@ -13,9 +13,12 @@ what the descent reached.  The overlaps of a mixed basis are
 conjugate-linear in the mixer's four entries, so the penalty is a
 four-term sum against a kernel of overlap Grams, cached for the frozen
 partners.  Restarts walk in lockstep groups, each restart on its own rng
-stream, and every iteration scores the whole group's candidates at once;
-the sum adds its four terms in one fixed order, so a candidate scores the
-same bits in a group of any size.
+stream.  Each round scores a window of every restart's upcoming drawn steps
+at once, and each restart takes the first step in its window that lowers
+its cost, the step a walk of one step per iteration would take.  The sum
+adds its four terms in one fixed order, so a candidate scores the same
+bits in a stack of any size, and neither the window nor the group changes
+the outcome.
 Each step is the exponential of a 2x2 anti-Hermitian matrix, taken in
 closed form, so the module needs numpy alone.
 """
@@ -55,6 +58,12 @@ _STEP_SCALE = 0.25
 # bound the walk's memory
 _RESTART_BLOCK = 64
 _ITER_BLOCK = 256
+# drawn steps each restart scores per round: _WINDOW in a small group, where
+# a round's fixed cost dominates; in a larger one, where the candidates an
+# accept leaves unused dominate, about _WINDOW_ROWS candidates a round, but
+# never fewer than 4 per restart
+_WINDOW = 16
+_WINDOW_ROWS = 64
 # the overlap modulus of two unbiased bases of C^2 (x) C^3
 _GOAL = 1.0 / np.sqrt(6.0)
 
@@ -259,7 +268,12 @@ def _walk(rngs: list[np.random.Generator], iterations: int):
     Restart i starts from a Haar unitary of rngs[i] and accepts a step only
     when it strictly lowers that restart's cost, so each cost is
     nonincreasing.  Every 64th accept of a restart replaces its mixer by
-    the polar factor, shedding accumulated rounding drift.
+    the polar factor, shedding accumulated rounding drift.  Each round
+    scores, against each unfinished restart's current mixer, its next
+    window of drawn steps, all in one _penalties call; the restart takes
+    the first step that lowers its cost and resumes just past it, or skips
+    the whole window.  So it accepts exactly the steps a walk of one step
+    per iteration accepts, in far fewer rounds: accepts are rare.
     """
     # Haar starts: each rng draws its own Gaussian, then one QR for the stack
     q, r = np.linalg.qr(np.stack([rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -268,19 +282,33 @@ def _walk(rngs: list[np.random.Generator], iterations: int):
     w = q * (d / np.abs(d))[:, None, :]
     cost = _penalties(w)
     accepted = np.zeros(len(rngs), dtype=np.int64)
+    window = min(_WINDOW, max(4, _WINDOW_ROWS // len(rngs)))
+    offsets = np.arange(window)
     for start in range(0, iterations, _ITER_BLOCK):
-        steps = _random_steps(rngs, start, min(_ITER_BLOCK, iterations - start))
-        for step in steps:
-            cand = w @ step
-            cand_cost = _penalties(cand)
-            take = cand_cost < cost
-            if not take.any():
+        count = min(_ITER_BLOCK, iterations - start)
+        # restart i's steps are the rows end[i] - count .. end[i] - 1, and
+        # at[i] is the row of its next step
+        steps = _random_steps(rngs, start, count).swapaxes(0, 1).reshape(-1, 2, 2)
+        end = np.arange(1, len(rngs) + 1) * count
+        at = end - count
+        while (live := (at < end).nonzero()[0]).size:
+            ahead = at[live, None] + offsets
+            # a window running past its restart's last step reads rows it never takes
+            cand = w[live, None] @ steps.take(ahead, axis=0, mode="clip")
+            cand_cost = _penalties(cand).reshape(ahead.shape)
+            better = (cand_cost < cost[live, None]) & (ahead < end[live, None])
+            took = better.any(axis=1)
+            first = better.argmax(axis=1)
+            at[live] = ahead[:, 0] + np.where(took, first + 1, window)
+            if not took.any():
                 continue
-            w = np.where(take[:, None, None], cand, w)
-            cost = np.where(take, cand_cost, cost)
-            accepted += take
-            polish = take & (accepted % 64 == 0)
-            if polish.any():
+            rows = took.nonzero()[0]
+            movers, first = live[rows], first[rows]
+            w[movers] = cand[rows, first]
+            cost[movers] = cand_cost[rows, first]
+            accepted[movers] += 1
+            polish = movers[accepted[movers] % 64 == 0]
+            if polish.size:
                 u, _, vh = np.linalg.svd(w[polish])
                 w[polish] = u @ vh
     return w, cost
@@ -293,11 +321,12 @@ def third_basis_search(cfg: SearchConfig | None = None) -> SearchOutcome:
     by random unitary steps, keeping only improvements, so the cost is
     nonincreasing within a restart and identical seeds reproduce identical
     outcomes bit for bit.  Restarts walk in lockstep groups of up to
-    _RESTART_BLOCK, each iteration scoring the group's candidates at once,
-    and draw their steps in blocks of up to _ITER_BLOCK iterations, so
-    memory stays flat however many restarts and iterations are asked for.
-    Neither block size changes the outcome: every restart's arithmetic is
-    done row by row, the same in a group or block of any size.  The best is
+    _RESTART_BLOCK and draw their steps in blocks of up to _ITER_BLOCK
+    iterations, so memory stays flat however many restarts and iterations
+    are asked for; each round scores the next window of up to _WINDOW
+    drawn steps of every restart in a group at once.  Neither block size
+    nor the window changes the outcome: every restart's arithmetic is done
+    row by row, the same in a group, block or window of any size.  The best is
     the first restart with the lowest cost, and the returned best cost is
     recomputed from the returned candidate.
     """

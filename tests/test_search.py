@@ -363,10 +363,12 @@ def test_search_blocks_do_not_change_the_outcome(monkeypatch):
     want = third_basis_search(cfg)
     monkeypatch.setattr(search, "_RESTART_BLOCK", 3)
     monkeypatch.setattr(search, "_ITER_BLOCK", 7)
-    got = third_basis_search(cfg)
-    assert got.best_cost == want.best_cost
-    assert np.array_equal(got.best_candidate, want.best_candidate)
-    assert got.iterations_used == want.iterations_used == 200
+    for window in (1, 3):
+        monkeypatch.setattr(search, "_WINDOW", window)
+        got = third_basis_search(cfg)
+        assert got.best_cost == want.best_cost
+        assert np.array_equal(got.best_candidate, want.best_candidate)
+        assert got.iterations_used == want.iterations_used == 200
 
 
 def test_search_memory_does_not_grow_with_restarts():
@@ -390,3 +392,90 @@ def test_search_best_candidate_is_its_own_writable_array():
     assert out.best_candidate.shape == (2, 2)
     assert out.best_candidate.flags.writeable and out.best_candidate.flags.owndata
     out.best_candidate[0, 0] *= 2.0  # callers may scale it in place
+
+
+# ---------------------------------------------------------------------------
+# the windowed walk against the one-step-per-iteration walk it replaced
+# ---------------------------------------------------------------------------
+
+def reference_walk(rngs, iterations):
+    # every iteration scores one step of every restart, as _walk did before
+    # it scored a window of upcoming steps per round
+    q, r = np.linalg.qr(np.stack([rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                                  for rng in rngs]))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    w = q * (d / np.abs(d))[:, None, :]
+    cost = _penalties(w)
+    accepted = np.zeros(len(rngs), dtype=np.int64)
+    for start in range(0, iterations, search._ITER_BLOCK):
+        steps = search._random_steps(rngs, start, min(search._ITER_BLOCK, iterations - start))
+        for step in steps:
+            cand = w @ step
+            cand_cost = _penalties(cand)
+            take = cand_cost < cost
+            if not take.any():
+                continue
+            w = np.where(take[:, None, None], cand, w)
+            cost = np.where(take, cand_cost, cost)
+            accepted += take
+            polish = take & (accepted % 64 == 0)
+            if polish.any():
+                u, _, vh = np.linalg.svd(w[polish])
+                w[polish] = u @ vh
+    return w, cost
+
+
+def reference_search(cfg, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(search, "_walk", reference_walk)
+        return third_basis_search(cfg)
+
+
+@pytest.mark.parametrize("restarts, iterations", [
+    (1, 0), (1, 1), (3, 257), (4, 300), (5, 600), (8, 2000), (70, 300),
+])
+@pytest.mark.parametrize("seed", range(6))
+def test_windowed_walk_matches_the_one_step_walk(monkeypatch, seed, restarts, iterations):
+    cfg = SearchConfig(seed=seed, max_iterations=iterations, restarts=restarts)
+    want = reference_search(cfg, monkeypatch)
+    got = third_basis_search(cfg)
+    assert got.best_cost == want.best_cost
+    assert got.best_candidate.tobytes() == want.best_candidate.tobytes()
+
+
+def test_windowed_walk_matches_the_one_step_walk_through_the_polish(monkeypatch):
+    cfg = SearchConfig(seed=0, max_iterations=2000, restarts=64)
+    want = reference_search(cfg, monkeypatch)
+    polished = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        polished.append(len(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    got = third_basis_search(cfg)
+    assert polished  # some restart reached its 64th accept
+    assert got.best_cost == want.best_cost
+    assert got.best_candidate.tobytes() == want.best_candidate.tobytes()
+    # the best restart need not be a polished one, so compare every restart
+    w, cost = search._walk([np.random.default_rng([0, r]) for r in range(64)], 2000)
+    want_w, want_cost = reference_walk([np.random.default_rng([0, r]) for r in range(64)], 2000)
+    assert w.tobytes() == want_w.tobytes()
+    assert cost.tobytes() == want_cost.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_default_search_scores_its_steps_in_few_penalty_calls(monkeypatch, seed):
+    # one call per iteration, plus the starts and the final recomputation,
+    # made 302 calls; a window of upcoming steps per round makes 31-38
+    calls = []
+    real_penalties = search._penalties
+
+    def counting_penalties(ws):
+        calls.append(len(ws))
+        return real_penalties(ws)
+
+    monkeypatch.setattr(search, "_penalties", counting_penalties)
+    third_basis_search(SearchConfig(seed=seed))
+    assert len(calls) <= 60
