@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import compose, construct, familyfile, search, trio
-from .errors import MusebError, VerificationFailed
+from .errors import MusebError, ShapeMismatch, VerificationFailed
 from .matspace import is_unitary
 from .verify import BasisFamily, FamilySet, check_museb_set
 
@@ -106,6 +106,8 @@ def _cmd_trio(args: argparse.Namespace) -> int:
     elif len(args.paths) == 2:
         u = familyfile.load_matrix(args.paths[0])
         v = familyfile.load_matrix(args.paths[1])
+        if u.shape != v.shape:
+            raise ShapeMismatch(f"the two bases have shapes {u.shape} and {v.shape}")
         for name, mat in (("first", u), ("second", v)):
             if not is_unitary(mat, args.tol):
                 raise MusebError(f"{name} input matrix is not unitary")

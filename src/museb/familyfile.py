@@ -29,7 +29,7 @@ from typing import Any, Callable, TextIO
 
 import numpy as np
 
-from .errors import FileFormatError, ShapeMismatch
+from .errors import FileFormatError
 from .matspace import as_matrix
 from .verify import BasisFamily, FamilySet
 
@@ -357,11 +357,9 @@ def load_family_set(path: str | os.PathLike) -> FamilySet:
 
 
 def dumps_matrix(mat: np.ndarray) -> str:
-    """The museb-1 matrix document as one line of JSON text, for a matrix load_matrix
-    reads back: 2-D, with at least one entry, every entry finite (JSON has no NaN)."""
+    """The museb-1 matrix document as one line of JSON text, for a matrix load_matrix reads
+    back; as_matrix's rule (2-D, at least one entry, all finite) is the writer's whole check."""
     arr = as_matrix(mat)
-    if not arr.size:
-        raise ShapeMismatch(f"a matrix file needs at least one entry, got shape {arr.shape}")
     return json.dumps({"format_version": FORMAT_VERSION})[:-1] + f', "matrix": {_dumps_stack(arr)}}}'
 
 

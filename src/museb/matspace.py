@@ -47,10 +47,13 @@ def _check_count(name: str, value, least: int) -> None:
 
 
 def as_matrix(data: Any) -> np.ndarray:
-    """Coerce input to a 2-D complex array, rejecting NaN and infinity."""
+    """The one matrix rule: a 2-D complex array with at least one entry, every entry finite.
+
+    Every matrix input passes through it, so a zero-size matrix raises ShapeMismatch.
+    """
     arr = np.asarray(data, dtype=complex)
-    if arr.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-D matrix, got ndim={arr.ndim}")
+    if arr.ndim != 2 or not arr.size:
+        raise ShapeMismatch(f"expected a 2-D matrix with at least one entry, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     return arr

@@ -16,8 +16,8 @@ import numpy as np
 
 from .construct import catalog
 from .errors import NotCHM, ShapeMismatch
-from .matspace import _check_tol, _unitary_deviation, as_matrix, is_unitary
-from .verify import VerificationReport, _merge, check_mu_pair
+from .matspace import _check_tol, _unitary_deviation, as_matrix
+from .verify import VerificationReport, _stage, check_mu_pair
 
 __all__ = [
     "ObstructionFinding",
@@ -47,18 +47,20 @@ class ObstructionFinding:
 
 
 def is_chm(w, tol: float = 1e-9) -> bool:
-    """Whether w is a complex Hadamard matrix: unitary with flat moduli, within tol."""
+    """Whether w is a complex Hadamard matrix: its one Hadamard deviation is within tol."""
     _check_tol(tol)
     wm = as_matrix(w)
     n, m = wm.shape
     if n != m:
         raise ShapeMismatch(f"expected a square matrix, got {wm.shape}")
-    return is_unitary(wm, tol) and _flatness_deviation(wm) <= tol
+    return _hadamard_deviation(wm) <= tol
 
 
-def _flatness_deviation(wm: np.ndarray) -> float:
-    """Largest distance of a square matrix's moduli from 1/sqrt(n)."""
-    return float(np.max(np.abs(np.abs(wm) - 1.0 / np.sqrt(wm.shape[0]))))
+def _hadamard_deviation(wm: np.ndarray) -> float:
+    """How far a square matrix is from a complex Hadamard matrix scaled to be unitary:
+    the larger of its unitarity deviation and its moduli's largest distance from 1/sqrt(n)."""
+    flatness = np.max(np.abs(np.abs(wm) - 1.0 / np.sqrt(wm.shape[0])))
+    return float(np.max([_unitary_deviation(wm), flatness]))
 
 
 def _dephasing_scan(wm: np.ndarray, tol: float):
@@ -122,14 +124,14 @@ def _validate_witness(wm: np.ndarray, finding: ObstructionFinding) -> float:
 def theorem2_reproduce(tol: float = 1e-9) -> VerificationReport:
     """Re-derive the no-third-basis obstruction for the frozen (U, V) pair.
 
-    Checks, in order: U and V are unitary; their columns reshape to the
-    eq16 and eq17 families; the two families are mutually unbiased at
-    1/sqrt(6); W = U^dagger V is a complex Hadamard matrix; right-multiplying
-    by the frozen Q makes the lower-left 2 x 3 block real with the known
-    sign pattern; and the dephasing scan certifies the obstruction, with
-    the returned witness re-validated entry by entry.  Every stage is held
-    to tol; when W is not a complex Hadamard matrix at tol the scan is
-    skipped and its stage fails.
+    One stage of eight checks, each a deviation held to tol, in order: 0-1, U and V
+    are unitary; 2-3, their columns reshape to the eq16 and eq17 families; 4, the two
+    families are mutually unbiased at 1/sqrt(6); 5, W = U^dagger V is a complex
+    Hadamard matrix (is_chm's deviation); 6, right-multiplying by the frozen Q makes
+    the lower-left 2 x 3 block real with the known sign pattern; 7, the dephasing scan
+    certifies the obstruction, with the returned witness re-validated entry by entry.
+    The scan runs only when check 5 passes; without a witness check 7 reads 1.0.  A
+    failing check s offends at (s, s), through verify's one stage rule.
     """
     _check_tol(tol)
     u = catalog("U")
@@ -139,27 +141,20 @@ def theorem2_reproduce(tol: float = 1e-9) -> VerificationReport:
     f17 = catalog("eq17")
 
     w = u.conj().T @ v
-    mu = check_mu_pair(f16, f17, tol)
-    chm = is_chm(w, tol)
+    hadamard = _hadamard_deviation(w)
     # the scan refuses a non-Hadamard W, which leaves nothing obstructed
-    finding = dephased_obstruction(w, tol) if chm else ObstructionFinding(obstructed=False)
+    finding = (dephased_obstruction(w, tol) if hadamard <= tol
+               else ObstructionFinding(obstructed=False))
     s6 = np.sqrt(6.0)
     target = np.array([[-1 / s6, -1 / s6, 1 / s6], [1 / s6, 1 / s6, 1 / s6]])
-    stages = [
-        (True, _unitary_deviation(u)),
-        (True, _unitary_deviation(v)),
-        (True, float(np.max(np.abs(u.T.reshape(6, 2, 3) - f16.elements)))),
-        (True, float(np.max(np.abs(v.T.reshape(6, 2, 3) - f17.elements)))),
-        (mu.passed, mu.worst_violation),
-        (chm, _flatness_deviation(w)),
-        (True, float(np.max(np.abs((w @ q)[4:6, 0:3] - target)))),
-        (finding.obstructed, _validate_witness(w, finding) if finding.obstructed else 1.0),
-    ]
-    return _merge([(0, 0, _stage(idx, ok, dev, tol)) for idx, (ok, dev) in enumerate(stages)])
-
-
-def _stage(idx: int, ok: bool, dev: float, tol: float) -> VerificationReport:
-    # a one-check report; a failing stage names its index as both i and j
-    dev = float(dev)
-    passed = ok and dev <= tol
-    return VerificationReport(passed, dev, () if passed else ((0, 0, idx, idx, dev),), 1)
+    devs = np.array([
+        _unitary_deviation(u),
+        _unitary_deviation(v),
+        np.max(np.abs(u.T.reshape(6, 2, 3) - f16.elements)),
+        np.max(np.abs(v.T.reshape(6, 2, 3) - f17.elements)),
+        check_mu_pair(f16, f17, tol).worst_violation,
+        hadamard,
+        np.max(np.abs((w @ q)[4:6, 0:3] - target)),
+        _validate_witness(w, finding) if finding.obstructed else 1.0,
+    ])
+    return _stage(np.max(devs), lambda: np.diag(devs), np.abs, tol, len(devs), (0, 0))

@@ -323,6 +323,18 @@ def test_trio_two_basis_files(tmp_path, capsys):
     assert "obstructed: true" in out
 
 
+def test_trio_refuses_two_bases_of_different_sizes(tmp_path, capsys):
+    # both are unitary, so only their shapes keep U^dagger V from being formed
+    u_path = tmp_path / "u.json"
+    v_path = tmp_path / "v.json"
+    save_matrix(catalog("U"), u_path)
+    save_matrix(np.eye(4), v_path)
+    code, out, err = run(capsys, "trio", str(u_path), str(v_path))
+    assert code == 2
+    assert err == "error: the two bases have shapes (6, 6) and (4, 4)\n"
+    assert out == ""
+
+
 def test_trio_rejects_non_square(tmp_path, capsys):
     path = tmp_path / "rect.json"
     path.write_text(json.dumps([[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]))

@@ -7,7 +7,8 @@ third-basis search included, never load scipy.linalg, and they all exit
 interpreter, since a module once imported stays in sys.modules for the
 rest of a process.  A static check over the sources keeps every file
 under src/museb free of scipy imports; scipy is a test-only dependency.
-Another keeps each input rule with its one owner.
+Others keep each input rule with its one owner, and every report with
+the one stage rule.
 """
 
 import ast
@@ -144,6 +145,20 @@ def test_each_input_rule_has_one_owner():
         integer.extend(path.stem for _ in _owned(tree, _integer_test))
     assert empty == ["verify.FamilySet.__post_init__"]
     assert set(integer) == {"matspace"}
+
+
+def _builds_report(node):
+    func = node.func if isinstance(node, ast.Call) else None
+    return getattr(func, "id", getattr(func, "attr", None)) == "VerificationReport"
+
+
+def test_each_report_is_built_by_the_one_stage_rule():
+    # every verdict goes through verify._stage, and _merge combines stages in order
+    built = []
+    for path in sorted((SRC / "museb").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        built.extend(path.stem + owner for owner in _owned(tree, _builds_report))
+    assert set(built) == {"verify._merge", "verify._stage"}
 
 
 # the digests from when mumeb_qubit computed its frame with scipy.linalg.expm:

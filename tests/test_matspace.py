@@ -3,8 +3,11 @@ import pytest
 
 from museb import (
     ShapeMismatch,
+    dephased_obstruction,
     hs_inner,
+    is_chm,
     is_unitary,
+    schmidt_number,
     singular_values,
 )
 
@@ -82,3 +85,18 @@ def test_is_unitary():
     assert not is_unitary(np.eye(3) * 1.001)
     with pytest.raises(ShapeMismatch):
         is_unitary(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("call, shape", [
+    (is_unitary, (0, 0)),
+    (is_chm, (0, 0)),
+    (dephased_obstruction, (0, 0)),
+    (lambda a: hs_inner(a, a), (0, 3)),
+    (singular_values, (0, 3)),
+    (schmidt_number, (0, 3)),
+], ids=["is_unitary", "is_chm", "dephased_obstruction", "hs_inner", "singular_values",
+        "schmidt_number"])
+def test_zero_size_matrices_raise_shape_mismatch(call, shape):
+    # as_matrix is the one matrix rule: a matrix without entries never reaches a reduction
+    with pytest.raises(ShapeMismatch, match="expected a 2-D matrix"):
+        call(np.zeros(shape, dtype=complex))

@@ -167,11 +167,79 @@ def test_theorem2_reproduce_at_zero_tolerance_fails_without_raising():
 ])
 def test_theorem2_reproduce_reports_are_pinned(tol, passed, offenders):
     # offender i and j both hold the stage index; at 1e-16 the two unitarity
-    # stages miss by rounding and the skipped scan fails stage 7
+    # stages miss by rounding, and the scan runs (W's Hadamard deviation is
+    # 5.55e-17) but finds no witness at that tolerance, so stage 7 fails
     rep = theorem2_reproduce(tol)
     assert rep.passed is passed
     assert rep.checks_run == 8
     assert [o[:4] for o in rep.offenders] == offenders
+
+
+def theorem2_deviations(tol):
+    """The eight stage deviations of theorem2_reproduce, recomputed from the catalog."""
+    u, v, q = catalog("U"), catalog("V"), catalog("Q")
+    f16, f17 = catalog("eq16").elements, catalog("eq17").elements
+    w = u.conj().T @ v
+    s6 = np.sqrt(6.0)
+    target = np.array([[-1 / s6, -1 / s6, 1 / s6], [1 / s6, 1 / s6, 1 / s6]])
+    overlaps = np.abs(f16.reshape(6, -1).conj() @ f17.reshape(6, -1).T)
+    hadamard = max(unitarity(w), flatness(w))
+    residual = 1.0
+    if hadamard <= tol and (finding := dephased_obstruction(w, tol)).obstructed:
+        mat = w.T if finding.on_transpose else w
+        r1, r2 = finding.row_pair
+        residual = max(abs((mat[r, col] * row_phase * phase).imag)
+                       for col, phase in zip(finding.columns, finding.phases)
+                       for r, row_phase in ((r1, 1.0), (r2, finding.row_phase)))
+    return [
+        unitarity(u),
+        unitarity(v),
+        np.max(np.abs(u.T.reshape(6, 2, 3) - f16)),
+        np.max(np.abs(v.T.reshape(6, 2, 3) - f17)),
+        np.max(np.abs(overlaps - 1 / s6)),
+        hadamard,
+        np.max(np.abs((w @ q)[4:6, 0:3] - target)),
+        residual,
+    ]
+
+
+def unitarity(m):
+    return np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
+
+
+def flatness(m):
+    return np.max(np.abs(np.abs(m) - 1 / np.sqrt(m.shape[0])))
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-17, 5e-17, 5.55e-17, 6e-17, 1e-16, 2e-16, 1e-15,
+                                 1e-14, 1e-12, 1e-9, 1e-6, 9.99e-4])
+def test_theorem2_reproduce_is_one_stage_of_eight_deviations(tol):
+    # a check fails exactly when its deviation exceeds tol, and offends at (s, s)
+    devs = theorem2_deviations(tol)
+    rep = theorem2_reproduce(tol)
+    assert rep.passed == (rep.worst_violation <= tol)
+    assert rep.worst_violation == max(devs)
+    assert rep.checks_run == 8
+    assert [o[:4] for o in rep.offenders] == [(0, 0, s, s) for s, dev in enumerate(devs)
+                                              if dev > tol]
+    assert [o[4] for o in rep.offenders] == [dev for dev in devs if dev > tol]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 7),
+    scale=st.sampled_from([1.0, 1 + 1e-15, 1 - 1e-12, 1 + 1e-9, 1 - 1e-6]),
+    spike=st.sampled_from([0.0, 1e-16, 1e-13, 1e-10, 1e-7, 1e-4]),
+    at=st.integers(0, 48),
+    phase=st.floats(0.0, 2 * np.pi),
+    tol=st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6, 9.99e-4]),
+)
+def test_is_chm_is_unitary_and_flat_within_tol(n, scale, spike, at, phase, tol):
+    # a rescaled Fourier matrix stays flat but leaves unitarity; a perturbed entry
+    # leaves both, by different amounts
+    w = fourier(n) * scale
+    w.flat[at % w.size] += spike * np.exp(1j * phase)
+    assert is_chm(w, tol) == (unitarity(w) <= tol and flatness(w) <= tol)
 
 
 def test_corrector_makes_lower_left_block_real():
